@@ -19,15 +19,15 @@ from .channel import (ChannelModel, OutcomeTrace, channel_capacity, erase,
                       sample_outcomes, total_capacity)
 from .codec import (CodecOverflowError, CodecParams, CodecState, EncodedPacket,
                     ack, bootstrap_state, decode, eavesdrop_decode, encode, quantize)
-from .estimator import (AugmentedMeasurement, FilterState, build_augmented,
-                        initial_state, predict, run_filter, update)
-from .harness import (RunResult, Scenario, TrialResult, build_worst_case,
+from .estimator import ConditioningError, FusionFilter, run_filter
+from .harness import (BlockResult, RunResult, Scenario, build_worst_case,
                       compute_bound, detect_critical_events, load_scenario,
-                      run_monte_carlo, run_trial, scenario_from_dict,
+                      run_block, run_monte_carlo, scenario_from_dict,
                       scenario_preset, secrecy_report, write_events_csv,
                       write_mse_csv)
 from .model import (SensorModel, SystemModel, Trajectory, from_config, measure,
-                    simulate_plant, step_state, three_tank_preset)
+                    simulate_plant, simulate_plants, step_state,
+                    three_tank_preset)
 from .rng import substream
 
 __version__ = "0.1.0"

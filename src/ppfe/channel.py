@@ -20,7 +20,7 @@ class ChannelModel:
         if g.size < 1 or g.shape != ge.shape:
             raise ValueError("need one authorized and one wiretap probability per channel")
         for name, p in (("gamma_bar", g), ("gamma_bar_eve", ge)):
-            if np.any(p <= 0.0) or np.any(p > 1.0):
+            if not np.all((p > 0.0) & (p <= 1.0)):
                 raise ValueError(f"{name} entries must lie in (0, 1]")
         g.setflags(write=False)
         ge.setflags(write=False)

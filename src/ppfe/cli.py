@@ -53,7 +53,7 @@ def _resolve_scenario(args):
             scenario = scenario_preset(args.preset, seed=_default_seed())
         else:
             scenario = load_scenario(args.scenario)
-    except (ValueError, KeyError, OSError, json.JSONDecodeError) as exc:
+    except (ValueError, KeyError, TypeError, OSError, json.JSONDecodeError) as exc:
         raise UsageError(f"bad scenario configuration: {exc}") from exc
     overrides = {}
     if args.seed is not None:
@@ -70,7 +70,10 @@ def _resolve_scenario(args):
         overrides["trials"] = args.trials
     if args.workers < 1:
         raise UsageError("--workers must be >= 1")
-    return replace(scenario, **overrides) if overrides else scenario
+    try:
+        return replace(scenario, **overrides) if overrides else scenario
+    except ValueError as exc:
+        raise UsageError(f"bad scenario configuration: {exc}") from exc
 
 
 def _outdir(args) -> Path:
@@ -196,7 +199,7 @@ def main(argv=None) -> int:
     except UsageError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return USAGE_ERROR
-    except (ValueError, KeyError, OSError, json.JSONDecodeError) as exc:
+    except (ValueError, KeyError, OSError, json.JSONDecodeError, codec.CodecOverflowError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return RUNTIME_ERROR
 

@@ -31,12 +31,12 @@ class CodecParams:
     s: float
 
     def __post_init__(self):
-        if not self.a > 0.0:
-            raise ValueError("growth base a must be positive")
-        if not self.delta > 0.0:
-            raise ValueError("quantization step delta must be positive")
-        if self.s == 0.0:
-            raise ValueError("scale s must be nonzero")
+        if not 0.0 < self.a < math.inf:
+            raise ValueError(f"growth base a must be positive and finite, got {self.a}")
+        if not 0.0 < self.delta < math.inf:
+            raise ValueError(f"quantization step delta must be positive and finite, got {self.delta}")
+        if self.s == 0.0 or not math.isfinite(self.s):
+            raise ValueError(f"scale s must be nonzero and finite, got {self.s}")
 
 
 @dataclass(frozen=True)
@@ -98,32 +98,67 @@ def quantize(zbar: np.ndarray, delta: float, rng: np.random.Generator,
     z = np.asarray(zbar, dtype=float)
     if not np.isfinite(z).all():
         raise ValueError("quantizer input must be finite")
-    scaled = z / delta
-    d = np.floor(scaled)
-    q = scaled - d
-    out = (d + (rng.random(z.shape) < q)) * delta
+    out, q = round_to_lattice(z, delta, rng.random(z.shape))
     if return_q:
         return out, q
     return out
 
 
+def round_to_lattice(z: np.ndarray, delta, u: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """The quantizer's rounding with pre-drawn uniforms u: (lattice points, q).
+
+    `delta` broadcasts against z, so one call rounds every component of a
+    block of trials. Inputs are not validated; `quantize` is the checked form.
+    """
+    scaled = z / delta
+    d = np.floor(scaled)
+    q = scaled - d
+    return (d + (u < q)) * delta, q
+
+
+def growth_factors(a, gap, initialized) -> tuple[np.ndarray, np.ndarray]:
+    """Reference growth a^gap, elementwise: (factor, overflow).
+
+    The factor is 1 where the reference is uninitialized or gap is 0, and
+    also where a^gap leaves the floating-point range, which `overflow` marks.
+    """
+    a = np.asarray(a, dtype=float)
+    gap = np.asarray(gap)
+    live = np.asarray(initialized) & (gap != 0)
+    overflow = live & (a > 1.0) & (gap * np.log(a) > _MAX_EXP_LOG)
+    with np.errstate(over="ignore"):
+        factor = np.where(live & ~overflow, a ** gap, 1.0)
+    return factor, overflow
+
+
 def _growth_factor(params: CodecParams, gap: int, k: int) -> float:
     if gap < 0:
         raise ValueError(f"step {k} precedes the reference time")
-    if gap == 0:
-        return 1.0
-    if params.a > 1.0 and gap * math.log(params.a) > _MAX_EXP_LOG:
+    factor, overflow = growth_factors(params.a, gap, True)
+    if overflow:
         raise CodecOverflowError(
             f"reference growth a^{gap} = {params.a}^{gap} overflows at step {k}"
         )
-    return params.a ** gap
+    return float(factor)
 
 
-def _reconstruct(state: CodecState, params: CodecParams, z: np.ndarray, k: int) -> np.ndarray:
-    if not state.initialized:
-        return np.asarray(z, dtype=float) * params.s
-    factor = _growth_factor(params, k - state.t_ref, k)
-    return np.asarray(z, dtype=float) * params.s + factor * state.y_ref
+def reference_residual(y, factor, y_ref, s):
+    """The encoder's pre-quantization value (y - factor y_ref) / s, elementwise."""
+    return (y - factor * y_ref) / s
+
+
+def reconstruct(z, factor, y_ref, s):
+    """The decoder's reconstruction z s + factor y_ref, elementwise."""
+    return z * s + factor * y_ref
+
+
+def _reference_factor(state: CodecState, params: CodecParams, k: int) -> float:
+    """a^{k-t_ref}, or 0 before the first reception (the reference is then ignored)."""
+    if state.initialized:
+        return _growth_factor(params, k - state.t_ref, k)
+    if k < state.t_ref:
+        raise ValueError(f"step {k} precedes the reference time")
+    return 0.0
 
 
 def encode(state: CodecState, params: CodecParams, y: np.ndarray, k: int,
@@ -133,14 +168,8 @@ def encode(state: CodecState, params: CodecParams, y: np.ndarray, k: int,
     `transparent` is a test-only mode that skips quantization (identity map,
     zero encoding error) to expose the deterministic reference recursion.
     """
-    y = np.asarray(y, dtype=float)
-    if state.initialized:
-        factor = _growth_factor(params, k - state.t_ref, k)
-        pre = (y - factor * state.y_ref) / params.s
-    else:
-        if k < state.t_ref:
-            raise ValueError(f"step {k} precedes the reference time")
-        pre = y / params.s
+    factor = _reference_factor(state, params, k)
+    pre = reference_residual(np.asarray(y, dtype=float), factor, state.y_ref, params.s)
     z = pre if transparent else quantize(pre, params.delta, rng)
     return EncodedPacket(z=z, k=k)
 
@@ -148,7 +177,8 @@ def encode(state: CodecState, params: CodecParams, y: np.ndarray, k: int,
 def decode(state: CodecState, params: CodecParams, z: np.ndarray, k: int
            ) -> tuple[np.ndarray, CodecState]:
     """Legitimate decode: ybar = z s + a^{k-t_ref} y_ref, reference moved to (k, ybar)."""
-    ybar = _reconstruct(state, params, z, k)
+    factor = _reference_factor(state, params, k)
+    ybar = reconstruct(np.asarray(z, dtype=float), factor, state.y_ref, params.s)
     return ybar, CodecState(y_ref=ybar, t_ref=k, initialized=True)
 
 

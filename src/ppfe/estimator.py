@@ -1,146 +1,91 @@
 """Centralized fusion filter over decoded, partially received measurements.
 
 The same predict/update recursion serves the legitimate user and the
-eavesdropper; the two runs differ only in their channel outcomes and decoded
-streams. Dropped channels are removed from the stacked update (reduced form)
-instead of being stacked with zero rows, which is algebraically equivalent to
-the outcome-weighted full stack but keeps the innovation covariance
-invertible.
+eavesdropper, for a whole block of trials at once; the two runs differ only
+in their channel outcomes and decoded streams. The update is the
+outcome-masked stacked form of Sinopoli et al., "Kalman filtering with
+intermittent observations" (IEEE TAC 2004): every channel keeps its rows,
+and a dropped channel's rows of C are zeroed, so the innovation covariance is
+block diagonal, diag(S_received, c I), and the dropped channels get zero gain
+columns. This is algebraically the reduced form that stacks only the received
+channels, and the innovation covariance stays invertible.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 import numpy as np
 
+from .analysis import stack_sensors
 from .codec import CodecParams
 from .model import SensorModel, SystemModel, symmetrize
 
 COND_LIMIT = 1e12
 
 
-@dataclass(frozen=True)
-class FilterState:
-    """Estimate and covariance at step k, tagged predicted or updated."""
+class ConditioningError(ValueError):
+    """The innovation covariance of one row of a block is ill-conditioned."""
 
-    x: np.ndarray
-    P: np.ndarray
-    k: int
-    phase: str  # "predicted" | "updated"
-
-    def __post_init__(self):
-        if self.phase not in ("predicted", "updated"):
-            raise ValueError("phase must be 'predicted' or 'updated'")
-        x = np.asarray(self.x, dtype=float)
-        p = symmetrize(np.asarray(self.P, dtype=float))
-        x.setflags(write=False)
-        p.setflags(write=False)
-        object.__setattr__(self, "x", x)
-        object.__setattr__(self, "P", p)
+    def __init__(self, message: str, row: int):
+        super().__init__(message)
+        self.row = row
 
 
-def initial_state(model: SystemModel) -> FilterState:
-    """Prior (x0_mean, P0), playing the role of the step-0 prediction."""
-    return FilterState(x=model.x0_mean, P=model.P0, k=0, phase="predicted")
+class FusionFilter:
+    """Batched predict/update for one plant and its stacked sensors.
 
-
-@dataclass(frozen=True)
-class AugmentedMeasurement:
-    """Stack of decoded measurements over the received channel set.
-
-    Rdec holds the decoding-error covariance blocks s^2 q(1-q) delta^2 per
-    component (the delta^2/4 bound when the realized q is unknown), applied
-    exactly once in the covariance update.
+    Estimates are (B, d_x) and covariances (B, d_x, d_x); received masks are
+    (B, M) per channel; measurements and decoding-noise variances are
+    (B, sum d_y), the latter also as one row shared by the block.
     """
 
-    received: tuple[int, ...]
-    y: np.ndarray
-    C: np.ndarray
-    R: np.ndarray
-    Rdec: np.ndarray
+    def __init__(self, model: SystemModel, sensors):
+        self.A = model.A
+        self.qeff = model.qeff
+        self.C, self.R, dims = stack_sensors(sensors)
+        self.channel = np.repeat(np.arange(len(dims)), dims)
 
-    @property
-    def empty(self) -> bool:
-        return len(self.received) == 0
+    def predict(self, x: np.ndarray, P: np.ndarray, bu: np.ndarray):
+        """Time update: x <- A x + B u, P <- A P A^T + D Q D^T."""
+        return x @ self.A.T + bu, symmetrize(self.A @ P @ self.A.T + self.qeff)
 
+    def update(self, x: np.ndarray, P: np.ndarray, y: np.ndarray, received: np.ndarray,
+               rdec: np.ndarray):
+        """Measurement update; a row with no received channel keeps (x, P).
 
-def build_augmented(
-    outcomes,
-    decoded,
-    sensors: list[SensorModel],
-    codecs: list[CodecParams],
-    q_values=None,
-) -> AugmentedMeasurement:
-    """Reduced stacking over channels with outcome 1.
-
-    `decoded` must hold a vector exactly where the outcome is 1. `q_values`
-    optionally supplies per-component realized quantization probabilities
-    (exact Rdec blocks); otherwise the conservative bound delta^2/4 is used.
-    """
-    received = [i for i, g in enumerate(outcomes) if g]
-    if not received:
-        n = 0
-        return AugmentedMeasurement(
-            received=(), y=np.empty(0), C=np.empty((0, sensors[0].C.shape[1])),
-            R=np.empty((0, 0)), Rdec=np.empty((0, 0)))
-    ys, cs, r_blocks, rdec_diag = [], [], [], []
-    for i in received:
-        if decoded[i] is None:
-            raise ValueError(f"channel {i} has outcome 1 but no decoded value")
-        ys.append(np.asarray(decoded[i], dtype=float))
-        cs.append(sensors[i].C)
-        r_blocks.append(sensors[i].r_eff)
-        s2 = codecs[i].s ** 2
-        d2 = codecs[i].delta ** 2
-        if q_values is not None and q_values[i] is not None:
-            q = np.asarray(q_values[i], dtype=float)
-            rdec_diag.append(s2 * q * (1.0 - q) * d2)
-        else:
-            rdec_diag.append(np.full(sensors[i].d_y, s2 * d2 / 4.0))
-    n = sum(c.shape[0] for c in cs)
-    r = np.zeros((n, n))
-    pos = 0
-    for blk in r_blocks:
-        m = blk.shape[0]
-        r[pos:pos + m, pos:pos + m] = blk
-        pos += m
-    return AugmentedMeasurement(
-        received=tuple(received),
-        y=np.concatenate(ys),
-        C=np.vstack(cs),
-        R=r,
-        Rdec=np.diag(np.concatenate(rdec_diag)),
-    )
+        The innovation covariance is diag(S_received, c I) with c the mean
+        eigenvalue trace(S_received) / n_received (1 when nothing is
+        received). Its extreme eigenvalues are those of S_received, so the
+        conditioning check is exactly the check on the reduced S, and a
+        dropped channel's R, which never enters the update, is not checked.
+        """
+        rows = received[:, self.channel]
+        gc = np.where(rows[:, :, None], self.C, 0.0)
+        gcp = gc @ P
+        both = rows[:, :, None] & rows[:, None, :]
+        s = symmetrize(gcp @ np.swapaxes(gc, -1, -2) + np.where(both, self.R, 0.0))
+        n = rows.sum(axis=1)
+        c = np.where(n > 0, np.einsum("bii->b", s) / np.maximum(n, 1), 1.0)
+        s += np.where(rows, 0.0, c[:, None])[:, :, None] * np.eye(rows.shape[1])
+        eig = np.linalg.eigvalsh(s)
+        bad = (eig[:, 0] <= 0.0) | (eig[:, -1] > COND_LIMIT * eig[:, 0])
+        if bad.any():
+            row = int(np.argmax(bad))
+            raise ConditioningError(
+                f"innovation covariance ill-conditioned (cond > {COND_LIMIT:.0e}) "
+                f"for received channels {tuple(np.flatnonzero(received[row]).tolist())}", row)
+        gain_t = np.linalg.solve(s, gcp)  # K^T, zero rows for dropped channels
+        gain = np.swapaxes(gain_t, -1, -2)
+        innov = np.where(rows, y - x @ self.C.T, 0.0)
+        x = x + (innov[:, None, :] @ gain_t)[:, 0]
+        P = P - gain @ s @ gain_t + (gain * rdec[..., None, :]) @ gain_t
+        return x, symmetrize(P)
 
 
-def predict(state: FilterState, model: SystemModel, u=None) -> FilterState:
-    """Time update: x <- A x + B u, P <- A P A^T + D Q D^T."""
-    if state.phase != "updated":
-        raise ValueError("predict expects an updated state")
-    u = model.input_at(state.k) if u is None else np.asarray(u, dtype=float)
-    x = model.A @ state.x + model.B @ u
-    p = model.A @ state.P @ model.A.T + model.qeff
-    return FilterState(x=x, P=p, k=state.k + 1, phase="predicted")
-
-
-def update(state: FilterState, aug: AugmentedMeasurement) -> FilterState:
-    """Measurement update; an empty augmentation leaves (x, P) unchanged."""
-    if state.phase != "predicted":
-        raise ValueError("update expects a predicted state")
-    if aug.empty:
-        return FilterState(x=state.x, P=state.P, k=state.k, phase="updated")
-    c = aug.C
-    s = c @ state.P @ c.T + aug.R
-    eig = np.linalg.eigvalsh(symmetrize(s))
-    if eig[0] <= 0.0 or eig[-1] / eig[0] > COND_LIMIT:
-        raise ValueError(
-            f"innovation covariance ill-conditioned (cond > {COND_LIMIT:.0e}) "
-            f"for received channels {aug.received}"
-        )
-    k_gain = np.linalg.solve(symmetrize(s), c @ state.P).T
-    x = state.x + k_gain @ (aug.y - c @ state.x)
-    p = state.P - k_gain @ s @ k_gain.T + k_gain @ aug.Rdec @ k_gain.T
-    return FilterState(x=x, P=symmetrize(p), k=state.k, phase="updated")
+def decoding_noise(sensors, codecs: list[CodecParams], transparent: bool = False) -> np.ndarray:
+    """Per-component decoding-error variance s^2 delta^2 / 4, or 0 with no quantizer."""
+    if transparent:
+        return np.zeros(sum(s.d_y for s in sensors))
+    return np.concatenate([np.full(s.d_y, c.s ** 2 * c.delta ** 2 / 4.0)
+                           for s, c in zip(sensors, codecs)])
 
 
 def run_filter(
@@ -150,53 +95,54 @@ def run_filter(
     outcomes: np.ndarray,
     decoded,
     q_values=None,
-) -> list[FilterState]:
-    """Alternate predict/update from the prior over an (M, horizon) outcome matrix.
+) -> np.recarray:
+    """One trial of the fusion filter from the prior over an (M, horizon) outcome matrix.
 
-    Returns the full alternating state sequence [pred_0, upd_0, pred_1, ...]
-    of length 2*horizon; `decoded[k][i]` must be the decoded vector where
-    outcomes[i, k] == 1 and None elsewhere.
+    Returns a record array of length 2*horizon with fields `x` and `P`,
+    alternating predicted and updated states [pred_0, upd_0, pred_1, ...].
+    `decoded[k][i]` must be the decoded vector where outcomes[i, k] == 1.
+    `q_values[k][i]` optionally gives the realized quantization probabilities
+    (decoding variance s^2 q(1-q) delta^2); otherwise the bound delta^2/4 is used.
     """
-    outcomes = np.asarray(outcomes)
+    outcomes = np.asarray(outcomes).astype(bool)
     horizon = outcomes.shape[1]
-    # bound-mode Rdec is outcome-determined, so augmentations repeat per pattern
-    cache: dict[tuple, AugmentedMeasurement] = {}
-    states: list[FilterState] = []
-    st = initial_state(model)
+    cols = np.cumsum([0, *(s.d_y for s in sensors)])
+    y = np.zeros((horizon, cols[-1]))
+    rdec = np.tile(decoding_noise(sensors, codecs), (horizon, 1))
+    for k in range(horizon):
+        q_k = None if q_values is None else q_values[k]
+        for i in np.flatnonzero(outcomes[:, k]):
+            if decoded[k][i] is None:
+                raise ValueError(f"channel {i} has outcome 1 at step {k} but no decoded value")
+            y[k, cols[i]:cols[i + 1]] = decoded[k][i]
+            if q_k is not None and q_k[i] is not None:
+                q = np.asarray(q_k[i], dtype=float)
+                rdec[k, cols[i]:cols[i + 1]] = codecs[i].s ** 2 * q * (1.0 - q) * codecs[i].delta ** 2
+
+    fusion = FusionFilter(model, sensors)
+    d = model.d_x
+    out = np.recarray(2 * horizon, dtype=[("x", float, (d,)), ("P", float, (d, d))])
+    x, P = model.x0_mean[None], model.P0[None]
     for k in range(horizon):
         if k > 0:
-            st = predict(st, model, model.input_at(k - 1))
-        states.append(st)
-        key = tuple(outcomes[:, k])
-        if q_values is None and key in cache:
-            aug = cache[key]
-            if not aug.empty:
-                aug = AugmentedMeasurement(
-                    received=aug.received,
-                    y=np.concatenate([np.asarray(decoded[k][i], dtype=float) for i in aug.received]),
-                    C=aug.C, R=aug.R, Rdec=aug.Rdec)
-        else:
-            aug = build_augmented(
-                outcomes[:, k], decoded[k], sensors, codecs,
-                None if q_values is None else q_values[k])
-            if q_values is None:
-                cache[key] = aug
-        st = update(st, aug)
-        states.append(st)
-    return states
+            x, P = fusion.predict(x, P, model.B @ model.input_at(k - 1))
+        out.x[2 * k], out.P[2 * k] = x[0], P[0]
+        x, P = fusion.update(x, P, y[k:k + 1], outcomes[None, :, k], rdec[k])
+        out.x[2 * k + 1], out.P[2 * k + 1] = x[0], P[0]
+    return out
 
 
-def filter_trace_csv(states: list[FilterState], path) -> None:
-    """Export updated states: k, estimate components, diag(P), trace(P)."""
-    upd = [s for s in states if s.phase == "updated"]
-    if not upd:
+def filter_trace_csv(states: np.recarray, path) -> None:
+    """Export the updated states of `run_filter`: k, estimate components, diag(P), trace(P)."""
+    upd = states[1::2]
+    if not len(upd):
         raise ValueError("no updated states to export")
-    d = upd[0].x.size
+    d = upd.x.shape[1]
     header = (["k"] + [f"xhat_{j + 1}" for j in range(d)]
               + [f"P_{j + 1}{j + 1}" for j in range(d)] + ["trace_P"])
     lines = [",".join(header)]
-    for s in upd:
-        row = ([str(s.k)] + [format(v, ".17g") for v in s.x]
+    for k, s in enumerate(upd):
+        row = ([str(k)] + [format(v, ".17g") for v in s.x]
                + [format(v, ".17g") for v in np.diag(s.P)]
                + [format(float(np.trace(s.P)), ".17g")])
         lines.append(",".join(row))

@@ -8,20 +8,26 @@ from __future__ import annotations
 import json
 import math
 import warnings
-from concurrent.futures import ProcessPoolExecutor
-from dataclasses import dataclass, replace
+from dataclasses import dataclass, field, replace
+from itertools import repeat
 
 import numpy as np
 
 from .analysis import BoundParams, BoundSequence, cap_gamma, iterate_bound
 from .channel import ChannelModel, OutcomeTrace, sample_outcomes
-from .codec import (CodecOverflowError, CodecParams, CodecState, ack,
-                    bootstrap_state, decode, eavesdrop_decode, encode)
-from .estimator import run_filter
-from .model import SensorModel, SystemModel, from_config, simulate_plant, three_tank_preset
+from .codec import (CodecOverflowError, CodecParams, growth_factors, reconstruct,
+                    reference_residual, round_to_lattice)
+from .estimator import ConditioningError, FusionFilter, decoding_noise
+from .model import SensorModel, SystemModel, from_config, simulate_plants, three_tank_preset
 from .rng import substream
 
 EVE_SATURATION = 1e15
+
+# Trials per block. A constant, so a trial's block and therefore its arithmetic
+# never depend on the worker count. Larger blocks spread the per-step Python
+# overhead over more trials but raise peak memory: a 500-step block of 32
+# three-channel trials holds about 4 MB of arrays.
+BLOCK_TRIALS = 32
 
 # secrecy criterion (ii): fitted log growth rate may undershoot ln(min a_i>1) by this much
 SLOPE_MARGIN = 0.05
@@ -51,6 +57,9 @@ class Scenario:
     transparent_quantizer: bool = False
     track_eavesdropper: bool = True
     name: str = ""
+    # derived in __post_init__; building them validates the channel and codec entries
+    channel: ChannelModel = field(init=False, repr=False, compare=False)
+    codecs: tuple[CodecParams, ...] = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         m = len(self.sensors)
@@ -72,15 +81,15 @@ class Scenario:
             ov = self.outcome_override
             if ov.n_channels != m or ov.horizon != self.horizon:
                 raise ValueError("outcome override must be (M, horizon)")
+        self.model.inputs(self.horizon)
+        object.__setattr__(self, "channel", ChannelModel(self.gamma_bar, self.gamma_bar_eve))
+        object.__setattr__(self, "codecs", tuple(
+            CodecParams(a=float(a), delta=float(d), s=float(self.s))
+            for a, d in zip(self.a, self.delta)))
 
     @property
     def n_channels(self) -> int:
         return len(self.sensors)
-
-    @property
-    def codecs(self) -> list[CodecParams]:
-        return [CodecParams(a=float(self.a[i]), delta=float(self.delta[i]), s=float(self.s))
-                for i in range(self.n_channels)]
 
 
 _TANK_GAMMA = (0.9, 0.95, 0.85)
@@ -119,28 +128,49 @@ def scenario_preset(name: str, seed: int = 0, horizon: int = 500, trials: int = 
     raise ValueError(f"unknown scenario preset {name!r}; known: {known}")
 
 
+# keys that both scenario forms accept, passed through to Scenario
+_OPTIONAL_KEYS = ("eve_reference_policy", "transparent_quantizer", "track_eavesdropper", "name")
+_PRESET_KEYS = {"preset", "seed", "horizon", "trials", "outcome_override", "s", "a", "delta",
+                "gamma_bar", "gamma_bar_eve", *_OPTIONAL_KEYS}
+_FULL_KEYS = {"model", "channel", "codec", "seed", "horizon", "trials", "outcome_override",
+              *_OPTIONAL_KEYS}
+
+
+def _options(cfg: dict, allowed: set[str], form: str) -> dict:
+    """The optional Scenario fields of a configuration; unknown keys are errors."""
+    unknown = sorted(set(cfg) - allowed)
+    if unknown:
+        raise ValueError(f"unknown key(s) {unknown} in a {form} scenario; "
+                         f"allowed: {sorted(allowed)}")
+    opts = {key: cfg[key] for key in _OPTIONAL_KEYS if key in cfg}
+    for key in ("transparent_quantizer", "track_eavesdropper"):
+        if key in opts:
+            opts[key] = bool(opts[key])
+    if "outcome_override" in cfg:
+        ov = cfg["outcome_override"]
+        opts["outcome_override"] = OutcomeTrace(auth=np.asarray(ov["auth"]),
+                                                wire=np.asarray(ov["wire"]))
+    return opts
+
+
 def scenario_from_dict(cfg: dict) -> Scenario:
     """Build a Scenario from a parsed configuration tree."""
     if "preset" in cfg and "model" not in cfg:
+        overrides = _options(cfg, _PRESET_KEYS, "preset")
         base = scenario_preset(cfg["preset"],
                                seed=int(cfg.get("seed", 0)),
                                horizon=int(cfg.get("horizon", 500)),
                                trials=int(cfg.get("trials", 200)))
-        overrides = {}
-        for key in ("s", "eve_reference_policy", "transparent_quantizer", "track_eavesdropper"):
-            if key in cfg:
-                overrides[key] = cfg[key]
+        if "s" in cfg:
+            overrides["s"] = float(cfg["s"])
         for key in ("a", "delta", "gamma_bar", "gamma_bar_eve"):
             if key in cfg:
                 overrides[key] = np.asarray(cfg[key], dtype=float)
         return replace(base, **overrides) if overrides else base
+    options = _options(cfg, _FULL_KEYS, "full")
     model, sensors = from_config(cfg["model"])
     chan = cfg["channel"]
     codec = cfg["codec"]
-    override = None
-    if "outcome_override" in cfg:
-        ov = cfg["outcome_override"]
-        override = OutcomeTrace(auth=np.asarray(ov["auth"]), wire=np.asarray(ov["wire"]))
     return Scenario(
         model=model,
         sensors=tuple(sensors),
@@ -152,11 +182,7 @@ def scenario_from_dict(cfg: dict) -> Scenario:
         horizon=int(cfg["horizon"]),
         trials=int(cfg.get("trials", 1)),
         seed=int(cfg.get("seed", 0)),
-        outcome_override=override,
-        eve_reference_policy=cfg.get("eve_reference_policy", "own"),
-        transparent_quantizer=bool(cfg.get("transparent_quantizer", False)),
-        track_eavesdropper=bool(cfg.get("track_eavesdropper", True)),
-        name=cfg.get("name", ""),
+        **options,
     )
 
 
@@ -193,107 +219,130 @@ def build_worst_case(n_channels: int, horizon: int, channel: int, k_bar: int) ->
 
 
 @dataclass
-class TrialResult:
-    """Per-trial error series; eavesdropper entries are NaN once saturated."""
+class BlockResult:
+    """Error series of a contiguous block of trials; eavesdropper entries are NaN once saturated."""
 
-    legit_err: np.ndarray      # (H, d_x) filtered errors x_k - xhat_{k|k}
-    pred_err: np.ndarray       # (H, d_x) prediction errors x_k - xhat_{k|k-1}
-    eve_err: np.ndarray        # (H, d_x)
-    eve_saturated: np.ndarray  # (H,) uint8
-    events: list[tuple[int, int, bool]]
-    diverged: bool
+    legit_err: np.ndarray          # (B, H, d_x) filtered errors x_k - xhat_{k|k}
+    pred_err: np.ndarray           # (B, H, d_x) prediction errors x_k - xhat_{k|k-1}
+    eve_err: np.ndarray            # (B, H, d_x)
+    eve_saturated_at: np.ndarray   # (B,) first saturated step, H when never
+    events: list[tuple[int, int, int, bool]]  # (trial, channel, k_bar, worst_case)
 
 
-def run_trial(scenario: Scenario, trial: int) -> TrialResult:
-    """One closed pipeline: plant -> encode -> both channels -> decode -> both filters.
+def run_block(scenario: Scenario, start: int, stop: int) -> BlockResult:
+    """Trials start..stop-1 advanced together: plant -> encode -> both channels ->
+    decode -> both filters, each step one set of array operations over the block.
 
-    Deterministic in (scenario.seed, trial). Eavesdropper decode overflow or a
-    decode error beyond 1e15 marks the trial diverged from that step onward
-    instead of raising; divergence is the finding, not a failure.
+    Each trial draws its own (seed, role, trial) streams, each in one block
+    in the order a step-by-step draw would use. The encoder's reference
+    always equals the legitimate decoder's (the ACK mirrors it), so one copy
+    serves both. An eavesdropper saturates at the first step where a heard
+    packet's growth overflows, its decode error passes 1e15 or is not
+    finite, or its filtered error norm passes 1e15; divergence is the
+    finding, not a failure, so its filter just stops for that trial. A
+    failure of the legitimate path raises, naming the (seed, trial) pair.
     """
-    model, sensors = scenario.model, list(scenario.sensors)
-    h, m = scenario.horizon, scenario.n_channels
-    codecs = scenario.codecs
+    model, sensors, h, seed = scenario.model, scenario.sensors, scenario.horizon, scenario.seed
+    trials = range(start, stop)
+    b, d = len(trials), model.d_x
+    fusion = FusionFilter(model, sensors)
+    ch = fusion.channel                      # output component -> channel
+    a, delta, s = scenario.a[ch], scenario.delta[ch], scenario.s
     transparent = scenario.transparent_quantizer
+    rdec = decoding_noise(sensors, scenario.codecs, transparent)
+    bu = model.inputs(h) @ model.B.T
 
-    traj = simulate_plant(model, sensors, h, substream(scenario.seed, "plant", trial))
+    states, meas = simulate_plants(model, sensors, h, [substream(seed, "plant", t) for t in trials])
     if scenario.outcome_override is not None:
-        trace = scenario.outcome_override
+        traces = [scenario.outcome_override] * b
     else:
-        trace = sample_outcomes(
-            ChannelModel(scenario.gamma_bar, scenario.gamma_bar_eve),
-            h, substream(scenario.seed, "channel", trial))
-    quant_rng = substream(scenario.seed, "quantizer", trial)
+        traces = [sample_outcomes(scenario.channel, h, substream(seed, "channel", t))
+                  for t in trials]
+    auth = np.stack([tr.auth for tr in traces]).astype(bool)   # (B, M, H)
+    wire = np.stack([tr.wire for tr in traces]).astype(bool)
+    events = [(t, i, k, wc) for t, tr in zip(trials, traces)
+              for (i, k, wc) in detect_critical_events(tr)]
+    if not transparent:
+        uniforms = np.stack([substream(seed, "quantizer", t).random((h, ch.size)) for t in trials])
 
-    enc = [bootstrap_state(s.d_y) for s in sensors]
-    dec = [bootstrap_state(s.d_y) for s in sensors]
-    eve = [bootstrap_state(s.d_y) for s in sensors]
-    legit_decoded = [[None] * m for _ in range(h)]
-    eve_decoded = [[None] * m for _ in range(h)]
-    q_zero = [[None] * m for _ in range(h)] if transparent else None
+    def update(x, P, y, received, rows):
+        try:
+            return fusion.update(x, P, y, received, rdec)
+        except ConditioningError as exc:
+            raise ValueError(f"trial {trials[rows[exc.row]]} (seed {seed}): {exc}") from None
 
-    track_eve = scenario.track_eavesdropper
-    diverged_at = h
+    every = np.arange(b)
+    x, P = np.repeat(model.x0_mean[None], b, axis=0), np.repeat(model.P0[None], b, axis=0)
+    x_eve, P_eve = x.copy(), P.copy()
+    y_ref, t_ref = np.zeros((b, ch.size)), np.zeros(auth.shape[:2], dtype=int)
+    init = np.zeros(auth.shape[:2], dtype=bool)
+    y_eve, t_eve, init_eve = y_ref.copy(), t_ref.copy(), init.copy()
+    legit_err, pred_err = np.empty((b, h, d)), np.empty((b, h, d))
+    eve_err = np.full((b, h, d), np.nan)
+    saturated_at = np.full(b, h)
+    alive = np.full(b, scenario.track_eavesdropper)
     for k in range(h):
-        for i in range(m):
-            y = traj.measurements[i][k]
-            enc_snapshot = enc[i]
-            packet = encode(enc_snapshot, codecs[i], y, k, quant_rng, transparent=transparent)
-            if trace.auth[i, k]:
-                ybar, dec[i] = decode(dec[i], codecs[i], packet.z, k)
-                enc[i] = ack(enc[i], ybar, k)
-                legit_decoded[k][i] = ybar
-                if q_zero is not None:
-                    q_zero[k][i] = np.zeros(sensors[i].d_y)
-            if track_eve and k < diverged_at and trace.wire[i, k]:
-                try:
-                    if scenario.eve_reference_policy == "legit-time":
-                        # overheard ACK timing, own reference value
-                        hybrid = CodecState(y_ref=eve[i].y_ref, t_ref=enc_snapshot.t_ref,
-                                            initialized=eve[i].initialized)
-                        ybar_e, eve[i] = eavesdrop_decode(hybrid, codecs[i], packet.z, k)
-                    else:
-                        ybar_e, eve[i] = eavesdrop_decode(eve[i], codecs[i], packet.z, k)
-                except CodecOverflowError:
-                    diverged_at = k
-                    continue
-                err = ybar_e - y
-                if not np.isfinite(err).all() or np.abs(err).max() > EVE_SATURATION:
-                    diverged_at = k
-                else:
-                    eve_decoded[k][i] = ybar_e
+        y, x_true = meas[:, k], states[:, k]
+        factor, overflow = growth_factors(a, k - t_ref[:, ch], init[:, ch])
+        if overflow.any():
+            row, comp = np.argwhere(overflow)[0]
+            raise CodecOverflowError(f"trial {trials[row]} (seed {seed}): reference growth "
+                                     f"overflows at step {k} on channel {ch[comp]}")
+        pre = reference_residual(y, factor, y_ref, s)
+        if transparent:
+            z = pre
+        else:
+            finite = np.isfinite(pre).all(axis=1)
+            if not finite.all():
+                raise ValueError(f"trial {trials[np.argmin(finite)]} (seed {seed}): "
+                                 f"quantizer input must be finite at step {k}")
+            z = round_to_lattice(pre, delta, uniforms[:, k])[0]
 
-    x_true = traj.states[:h]
-    states = run_filter(model, sensors, codecs, trace.auth, legit_decoded, q_zero)
-    pred_err = x_true - np.array([st.x for st in states[0::2]])
-    legit_err = x_true - np.array([st.x for st in states[1::2]])
+        if alive.any():
+            heard = wire[:, :, k] & alive[:, None]
+            # "legit-time": overheard ACK timing (before this step's ACK), own reference value
+            t_src = t_ref if scenario.eve_reference_policy == "legit-time" else t_eve
+            factor_eve, overflow_eve = growth_factors(a, k - t_src[:, ch], init_eve[:, ch])
+            with np.errstate(over="ignore", invalid="ignore"):
+                ybar_eve = reconstruct(z, factor_eve, y_eve, s)
+                lost = overflow_eve | ~(np.abs(ybar_eve - y) <= EVE_SATURATION)
+            # a trial that loses any heard channel saturates at this step, whichever
+            # channel comes first, so all channels are decoded at once
+            died = (lost & heard[:, ch]).any(axis=1)
+            heard &= ~died[:, None]
+            y_eve = np.where(heard[:, ch], ybar_eve, y_eve)
+            t_eve[heard] = k
+            init_eve |= heard
+            saturated_at[died] = k
+            alive &= ~died
 
-    eve_err = np.full((h, model.d_x), np.nan)
-    eve_sat = np.zeros(h, dtype=np.uint8)
-    if track_eve:
-        he = diverged_at
-        if he > 0:
-            q_e = None if q_zero is None else q_zero[:he]
-            e_states = run_filter(model, sensors, codecs, trace.wire[:, :he],
-                                  eve_decoded[:he], q_e)
-            est = x_true[:he] - np.array([st.x for st in e_states[1::2]])
+        recv = auth[:, :, k]
+        ybar = reconstruct(z, factor, y_ref, s)
+        y_ref = np.where(recv[:, ch], ybar, y_ref)
+        t_ref[recv] = k
+        init |= recv
+        if k > 0:
+            x, P = fusion.predict(x, P, bu[k - 1])
+        pred_err[:, k] = x_true - x
+        x, P = update(x, P, ybar, recv, every)
+        legit_err[:, k] = x_true - x
+
+        live = np.flatnonzero(alive)
+        if live.size:
+            xl, Pl = x_eve[live], P_eve[live]
+            if k > 0:
+                xl, Pl = fusion.predict(xl, Pl, bu[k - 1])
+            xl, Pl = update(xl, Pl, ybar_eve[live], heard[live], live)
+            x_eve[live], P_eve[live] = xl, Pl
+            err = x_true[live] - xl
             # the filter itself can blow up one step before the decode check trips
-            bad = np.nonzero(np.linalg.norm(est, axis=1) > EVE_SATURATION)[0]
-            if bad.size:
-                he = int(bad[0])
-            eve_err[:he] = est[:he]
-        eve_sat[he:] = 1
-        if he < h:
-            diverged_at = he
+            blown = np.linalg.norm(err, axis=1) > EVE_SATURATION
+            eve_err[live[~blown], k] = err[~blown]
+            saturated_at[live[blown]] = k
+            alive[live[blown]] = False
 
-    return TrialResult(
-        legit_err=legit_err,
-        pred_err=pred_err,
-        eve_err=eve_err,
-        eve_saturated=eve_sat,
-        events=detect_critical_events(trace),
-        diverged=diverged_at < h,
-    )
+    return BlockResult(legit_err=legit_err, pred_err=pred_err, eve_err=eve_err,
+                       eve_saturated_at=saturated_at, events=events)
 
 
 @dataclass
@@ -357,34 +406,45 @@ def compute_bound(scenario: Scenario, recompute: bool = True, tol: float = 1e-10
     return seq, out
 
 
-def _trial_star(args) -> TrialResult:
-    return run_trial(*args)
+def _blocks(scenario: Scenario, workers: int):
+    """Block results in trial order; a worker always takes whole blocks."""
+    starts = range(0, scenario.trials, BLOCK_TRIALS)
+    stops = [min(lo + BLOCK_TRIALS, scenario.trials) for lo in starts]
+    if workers > 1 and len(starts) > 1:
+        # imported here: the process-pool modules cost every command ~20 ms of start-up
+        from concurrent.futures import ProcessPoolExecutor
+
+        with ProcessPoolExecutor(max_workers=min(workers, len(starts))) as pool:
+            yield from pool.map(run_block, repeat(scenario), starts, stops)
+    else:
+        for lo, hi in zip(starts, stops):
+            yield run_block(scenario, lo, hi)
 
 
 def run_monte_carlo(scenario: Scenario, workers: int = 1, compute_bound_trace: bool = False,
                     bound_recompute: bool = True) -> RunResult:
-    """Trial-parallel execution; the aggregation order is fixed by trial index,
-    so results are bitwise independent of the worker count."""
-    h, t = scenario.horizon, scenario.trials
-    if workers > 1:
-        with ProcessPoolExecutor(max_workers=workers) as pool:
-            chunk = max(1, t // (workers * 4))
-            results = list(pool.map(_trial_star, ((scenario, i) for i in range(t)),
-                                    chunksize=chunk))
-    else:
-        results = [run_trial(scenario, i) for i in range(t)]
-
-    legit = np.stack([r.legit_err for r in results])   # (T, H, d)
-    pred = np.stack([r.pred_err for r in results])
-    eve = np.stack([r.eve_err for r in results])
-    sat = np.stack([r.eve_saturated for r in results])  # (T, H)
+    """Block-parallel execution over fixed blocks of BLOCK_TRIALS trials;
+    results are folded in trial order, so they are bitwise independent of
+    the worker count."""
+    h, t, d = scenario.horizon, scenario.trials, scenario.model.d_x
+    legit, pred, eve = (np.empty((t, h, d)) for _ in range(3))
+    saturated_at = np.empty(t, dtype=int)
+    events = []
+    lo = 0
+    for block in _blocks(scenario, workers):
+        hi = lo + block.eve_saturated_at.size
+        legit[lo:hi], pred[lo:hi], eve[lo:hi] = block.legit_err, block.pred_err, block.eve_err
+        saturated_at[lo:hi] = block.eve_saturated_at
+        events += block.events
+        lo = hi
+    sat = np.arange(h) >= saturated_at[:, None]  # (T, H)
 
     mse_legit = np.einsum("thd,thd->h", legit, legit) / t
     emp_cov = np.einsum("thi,thj->hij", pred, pred) / t
     sq = np.einsum("thd,thd->th", pred, pred)
     trace_se = sq.std(axis=0, ddof=1) / math.sqrt(t) if t > 1 else np.zeros(h)
 
-    alive = sat == 0
+    alive = ~sat
     n_alive = alive.sum(axis=0)
     eve_sq = np.where(alive, np.einsum("thd,thd->th", np.nan_to_num(eve), np.nan_to_num(eve)), 0.0)
     with np.errstate(invalid="ignore", divide="ignore"):
@@ -394,11 +454,7 @@ def run_monte_carlo(scenario: Scenario, workers: int = 1, compute_bound_trace: b
                             np.nan)
     if not scenario.track_eavesdropper:
         mse_eve = np.full(h, np.nan)
-        mean_err = np.full((h, scenario.model.d_x), np.nan)
-
-    events = [(i_trial, ch, k, wc)
-              for i_trial, r in enumerate(results)
-              for (ch, k, wc) in r.events]
+        mean_err = np.full((h, d), np.nan)
 
     bound_seq = bound_trace = None
     if compute_bound_trace:
@@ -407,12 +463,12 @@ def run_monte_carlo(scenario: Scenario, workers: int = 1, compute_bound_trace: b
     return RunResult(
         mse_legit=mse_legit,
         mse_eve=mse_eve,
-        eve_saturated=(sat.any(axis=0)).astype(np.uint8),
+        eve_saturated=sat.any(axis=0).astype(np.uint8),
         emp_cov=emp_cov,
         emp_cov_trace_se=trace_se,
         eve_mean_err=mean_err,
         events=events,
-        diverged_trials=sum(r.diverged for r in results),
+        diverged_trials=int((saturated_at < h).sum()),
         trials=t,
         horizon=h,
         bound=bound_seq,

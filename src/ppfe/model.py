@@ -9,7 +9,8 @@ PSD_EIG_TOL = 1e-10
 
 
 def symmetrize(m: np.ndarray) -> np.ndarray:
-    return 0.5 * (m + m.T)
+    """Symmetric part of a matrix, or of each matrix in a stack."""
+    return 0.5 * (m + np.swapaxes(m, -1, -2))
 
 
 def check_psd(m: np.ndarray, name: str, tol: float = PSD_EIG_TOL) -> np.ndarray:
@@ -107,6 +108,15 @@ class SystemModel:
     @property
     def d_w(self) -> int:
         return self.D.shape[1]
+
+    def inputs(self, horizon: int) -> np.ndarray:
+        """(horizon, d_u) inputs of the transitions out of steps 0..horizon-1."""
+        if self.u.ndim == 1:
+            return np.broadcast_to(self.u, (horizon, self.d_u))
+        if self.u.shape[0] < horizon:
+            raise ValueError(f"input sequence u has {self.u.shape[0]} steps, "
+                             f"the horizon needs {horizon}")
+        return self.u[:horizon]
 
     def input_at(self, k: int) -> np.ndarray:
         """Input vector applied in the transition from step k to k+1."""
@@ -207,35 +217,51 @@ def measure(sensor: SensorModel, x: np.ndarray, v: np.ndarray) -> np.ndarray:
     return sensor.C @ x + sensor.E @ v
 
 
+def simulate_plants(
+    model: SystemModel,
+    sensors: list[SensorModel],
+    horizon: int,
+    rngs: list[np.random.Generator],
+) -> tuple[np.ndarray, np.ndarray]:
+    """Seeded trajectories for a block of trials, one generator per trial.
+
+    Returns states (B, horizon+1, d_x) and the row-stacked measurements
+    (B, horizon, sum d_y). Each generator is split into independent
+    init/process/measurement child streams, so the draw counts of one noise
+    source never shift another; each child stream is drawn in one block, in
+    the (step, sensor) order a step-by-step draw would use.
+    """
+    if horizon < 1:
+        raise ValueError("horizon must be >= 1")
+    streams = [rng.spawn(3) for rng in rngs]
+    d_v = [s.d_v for s in sensors]
+    z0 = np.stack([r_init.standard_normal(model.d_x) for r_init, _, _ in streams])
+    w = np.stack([r_proc.standard_normal((horizon, model.d_w)) for _, r_proc, _ in streams])
+    v = np.stack([r_meas.standard_normal((horizon, sum(d_v))) for _, _, r_meas in streams])
+
+    dw = (w @ psd_factor(model.Q).T) @ model.D.T
+    bu = model.inputs(horizon) @ model.B.T
+    states = np.empty((len(rngs), horizon + 1, model.d_x))
+    states[:, 0] = model.x0_mean + z0 @ psd_factor(model.P0).T
+    for k in range(horizon):
+        states[:, k + 1] = states[:, k] @ model.A.T + bu[k] + dw[:, k]
+    cols = np.cumsum([0, *d_v])
+    meas = [states[:, :horizon] @ s.C.T + (v[..., cols[i]:cols[i + 1]] @ psd_factor(s.R).T) @ s.E.T
+            for i, s in enumerate(sensors)]
+    return states, np.concatenate(meas, axis=-1)
+
+
 def simulate_plant(
     model: SystemModel,
     sensors: list[SensorModel],
     horizon: int,
     rng: np.random.Generator,
 ) -> Trajectory:
-    """Generate a seeded trajectory; a deterministic function of the generator state.
-
-    The generator is split into independent init/process/measurement child
-    streams, so the draw counts of one noise source never shift another.
-    """
-    if horizon < 1:
-        raise ValueError("horizon must be >= 1")
-    r_init, r_proc, r_meas = rng.spawn(3)
-    d_x = model.d_x
-    f0 = psd_factor(model.P0)
-    fq = psd_factor(model.Q)
-    fr = [psd_factor(s.R) for s in sensors]
-
-    states = np.empty((horizon + 1, d_x))
-    meas = [np.empty((horizon, s.d_y)) for s in sensors]
-    states[0] = model.x0_mean + f0 @ r_init.standard_normal(d_x)
-    for k in range(horizon):
-        for i, s in enumerate(sensors):
-            v = fr[i] @ r_meas.standard_normal(s.d_v)
-            meas[i][k] = s.C @ states[k] + s.E @ v
-        w = fq @ r_proc.standard_normal(model.d_w)
-        states[k + 1] = model.A @ states[k] + model.B @ model.input_at(k) + model.D @ w
-    return Trajectory(states=states, measurements=tuple(meas))
+    """One seeded trajectory: `simulate_plants` for a single generator."""
+    states, meas = simulate_plants(model, sensors, horizon, [rng])
+    cols = np.cumsum([0, *(s.d_y for s in sensors)])
+    return Trajectory(states=states[0],
+                      measurements=tuple(meas[0, :, cols[i]:cols[i + 1]] for i in range(len(sensors))))
 
 
 def three_tank_preset() -> tuple[SystemModel, list[SensorModel]]:

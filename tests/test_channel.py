@@ -116,4 +116,6 @@ def test_channel_model_validation():
     with pytest.raises(ValueError):
         ChannelModel(gamma_bar=[0.5, 0.5], gamma_bar_eve=[0.5])
     with pytest.raises(ValueError):
+        ChannelModel(gamma_bar=[0.5], gamma_bar_eve=[float("nan")])
+    with pytest.raises(ValueError):
         OutcomeTrace(auth=[[0, 2]], wire=[[0, 1]])

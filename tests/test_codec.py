@@ -249,6 +249,7 @@ def test_packet_wire_roundtrip():
 
 def test_codec_params_validation():
     for bad in (dict(a=0.0, delta=0.1, s=1.0), dict(a=2.0, delta=0.0, s=1.0),
-                dict(a=2.0, delta=0.1, s=0.0)):
+                dict(a=2.0, delta=0.1, s=0.0), dict(a=math.inf, delta=0.1, s=1.0),
+                dict(a=2.0, delta=math.nan, s=1.0), dict(a=2.0, delta=0.1, s=math.nan)):
         with pytest.raises(ValueError):
             CodecParams(**bad)

@@ -1,14 +1,21 @@
+import json
 import math
+import re
+from pathlib import Path
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
 
 from ppfe.channel import OutcomeTrace
-from ppfe.harness import (Scenario, build_worst_case, compute_bound,
-                          detect_critical_events, run_monte_carlo, run_trial,
+from ppfe.codec import CodecOverflowError, bootstrap_state, decode, eavesdrop_decode, encode
+from ppfe.estimator import run_filter
+from ppfe.harness import (BLOCK_TRIALS, Scenario, build_worst_case, compute_bound,
+                          detect_critical_events, run_block, run_monte_carlo,
                           scenario_from_dict, scenario_preset, secrecy_report,
                           write_events_csv, write_mse_csv)
-from ppfe.model import SensorModel, SystemModel
+from ppfe.model import SensorModel, SystemModel, simulate_plant
+from ppfe.rng import substream
 
 
 def scalar_scenario(**kw):
@@ -18,6 +25,15 @@ def scalar_scenario(**kw):
                 a=[2.0], delta=[0.01], s=1.0, horizon=30, trials=4, seed=123)
     base.update(kw)
     return Scenario(**base)
+
+
+def run_trial(sc, trial):
+    """Per-trial view of a one-trial block."""
+    block = run_block(sc, trial, trial + 1)
+    return SimpleNamespace(legit_err=block.legit_err[0], pred_err=block.pred_err[0],
+                           eve_err=block.eve_err[0],
+                           events=[ev[1:] for ev in block.events],
+                           diverged=bool(block.eve_saturated_at[0] < sc.horizon))
 
 
 # ---------------------------------------------------------------- events
@@ -104,6 +120,39 @@ def test_trial_stable_encoding_keeps_eavesdropper_close():
     legit_mse = (res.legit_err ** 2).sum(axis=1)[100:].mean()
     eve_mse = (res.eve_err ** 2).sum(axis=1)[100:].mean()
     assert eve_mse < 10.0 * legit_mse
+
+
+def test_transparent_eavesdropper_decodes_without_noise():
+    # transparent mode: the eavesdropper's filter carries no decoding noise on any
+    # heard channel, also at steps the legitimate receiver dropped; the reference
+    # is the single-channel codec API driving the one-trial filter
+    rng = np.random.default_rng(11)
+    auth = (rng.random((1, 30)) < 0.6).astype(int)
+    wire = auth | (rng.random((1, 30)) < 0.6).astype(int)
+    assert (wire & (1 - auth)).any()
+    sc = scalar_scenario(outcome_override=OutcomeTrace(auth=auth, wire=wire), a=[1.1],
+                         delta=[0.5], transparent_quantizer=True, trials=1)
+    res = run_trial(sc, 0)
+    traj = simulate_plant(sc.model, sc.sensors, sc.horizon, substream(sc.seed, "plant", 0))
+    codec = sc.codecs[0]
+    legit, eve = bootstrap_state(1), bootstrap_state(1)
+    decoded = []
+    for k in range(sc.horizon):
+        z = encode(legit, codec, traj.measurements[0][k], k, None, transparent=True).z
+        ybar_eve = None
+        if wire[0, k]:
+            ybar_eve, eve = eavesdrop_decode(eve, codec, z, k)
+        if auth[0, k]:
+            legit = decode(legit, codec, z, k)[1]
+        decoded.append([ybar_eve])
+    zero_q = [[np.zeros(1)] for _ in range(sc.horizon)]
+    exact = run_filter(sc.model, sc.sensors, sc.codecs, wire, decoded, zero_q)
+    assert not res.diverged
+    assert np.allclose(res.eve_err, traj.states[:sc.horizon] - exact.x[1::2],
+                       rtol=1e-12, atol=1e-12)
+    noisy = run_filter(sc.model, sc.sensors, sc.codecs, wire, decoded)
+    assert not np.allclose(res.eve_err, traj.states[:sc.horizon] - noisy.x[1::2],
+                           rtol=1e-6, atol=1e-6)
 
 
 # ---------------------------------------------------------------- monte carlo
@@ -306,3 +355,73 @@ def test_three_tank_filter_covariance_stays_bounded():
     cap = 10.0 * float(np.trace(model.P0))
     for st in states[1::2]:
         assert float(np.trace(st.P)) < cap
+
+
+# ---------------------------------------------------------------- batched engine
+
+FIXTURES = Path(__file__).resolve().parent / "fixtures"
+
+
+@pytest.mark.parametrize("group", ["A1", "D2"])
+def test_engine_matches_recorded_fixtures(group, tmp_path):
+    # recorded from the per-trial engine this one replaced: 20 trials x 200 steps, seed 7
+    ref = FIXTURES / group.lower()
+    sc = scenario_preset(f"three-tank-group{group}", seed=7, horizon=200, trials=20)
+    res = run_monte_carlo(sc, compute_bound_trace=True)
+    write_mse_csv(res, tmp_path / "mse.csv")
+    write_events_csv(res, tmp_path / "events.csv")
+    assert (tmp_path / "events.csv").read_bytes() == (ref / "events.csv").read_bytes()
+    got = (tmp_path / "mse.csv").read_text().splitlines()
+    want = (ref / "mse.csv").read_text().splitlines()
+    assert got[0] == want[0] and len(got) == len(want)
+    for line, ref_line in zip(got[1:], want[1:]):
+        cells, ref_cells = line.split(","), ref_line.split(",")
+        assert cells[3] == ref_cells[3], f"saturation flag differs: {line} vs {ref_line}"
+        assert np.allclose([float(c) for c in cells], [float(c) for c in ref_cells],
+                           rtol=1e-9, atol=0.0, equal_nan=True), f"{line} vs {ref_line}"
+    summary = json.loads((ref / "summary.json").read_text())
+    report = secrecy_report(res, sc)
+    for key in ("criterion_i", "criterion_ii", "criterion_ii_mode", "diverged_trials"):
+        assert report[key] == summary[key]
+
+
+@pytest.mark.parametrize("trials", [BLOCK_TRIALS + 1, 2 * BLOCK_TRIALS + 5])
+def test_outputs_independent_of_workers_and_blocks(trials, tmp_path):
+    sc = scenario_preset("three-tank-groupA1", seed=11, horizon=60, trials=trials)
+    # eavesdropper saturation lands mid-block: the first block's trials saturate at
+    # different steps, some not at all, so its filter runs on a shrinking subset
+    steps = run_block(sc, 0, BLOCK_TRIALS).eve_saturated_at
+    assert (steps < sc.horizon).any() and len(set(steps.tolist())) > 2
+    outputs = []
+    for workers in (1, 2, 3):
+        res = run_monte_carlo(sc, workers=workers)
+        out = tmp_path / f"w{workers}"
+        out.mkdir()
+        write_mse_csv(res, out / "mse.csv")
+        write_events_csv(res, out / "events.csv")
+        outputs.append(((out / "mse.csv").read_bytes(), (out / "events.csv").read_bytes(),
+                        res.diverged_trials))
+    assert outputs[1] == outputs[0] and outputs[2] == outputs[0]
+
+
+def test_ill_conditioned_trial_is_named():
+    model = SystemModel(A=0.9 * np.eye(2), Q=0.01 * np.eye(2), x0_mean=np.zeros(2), P0=np.eye(2))
+    dup = SensorModel(C=[[1.0, 0.0]], R=[[1e-15]])
+    sc = Scenario(model=model, sensors=(dup, dup), gamma_bar=[0.1, 0.1],
+                  gamma_bar_eve=[0.1, 0.1], a=[0.5, 0.5], delta=[0.01, 0.01], s=1.0,
+                  horizon=5, trials=8, seed=123)
+    with pytest.raises(ValueError, match=r"trial \d+ \(seed 123\): .*channels") as info:
+        run_monte_carlo(sc)
+    trial = int(re.search(r"trial (\d+)", str(info.value)).group(1))
+    with pytest.raises(ValueError, match=rf"trial {trial} \(seed 123\)"):
+        run_block(sc, trial, trial + 1)
+
+
+def test_legitimate_codec_overflow_names_trial():
+    # a = 1e10 overflows after ~30 steps without reception at gamma = 0.05
+    sc = scalar_scenario(a=[1e10], gamma_bar=[0.05], horizon=200, trials=6, seed=8)
+    with pytest.raises(CodecOverflowError, match=r"trial \d+ \(seed 8\)") as info:
+        run_monte_carlo(sc)
+    trial = int(re.search(r"trial (\d+)", str(info.value)).group(1))
+    with pytest.raises(CodecOverflowError, match=rf"trial {trial} \(seed 8\)"):
+        run_block(sc, trial, trial + 1)
