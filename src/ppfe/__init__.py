@@ -15,8 +15,8 @@ from .analysis import (BoundParams, BoundSequence, capacity_condition,
                        mahler_entropy, noise_domination_check,
                        noise_inflation_matrix, pbh_unit_circle, retention_scalar,
                        riccati_map)
-from .channel import (ChannelModel, OutcomeTrace, channel_capacity, erase,
-                      sample_outcomes, total_capacity)
+from .channel import (ChannelModel, OutcomeTrace, channel_capacity, sample_outcomes,
+                      total_capacity)
 from .codec import (CodecOverflowError, CodecParams, CodecState, EncodedPacket,
                     ack, bootstrap_state, decode, eavesdrop_decode, encode, quantize)
 from .estimator import ConditioningError, FusionFilter, run_filter
@@ -25,9 +25,8 @@ from .harness import (BlockResult, RunResult, Scenario, build_worst_case,
                       run_block, run_monte_carlo, scenario_from_dict,
                       scenario_preset, secrecy_report, write_events_csv,
                       write_mse_csv)
-from .model import (SensorModel, SystemModel, Trajectory, from_config, measure,
-                    simulate_plant, simulate_plants, step_state,
-                    three_tank_preset)
+from .model import (SensorModel, SystemModel, Trajectory, from_config, simulate_plant,
+                    simulate_plants, three_tank_preset)
 from .rng import substream
 
 __version__ = "0.1.0"

@@ -6,29 +6,21 @@ from __future__ import annotations
 
 import math
 import warnings
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
-from .channel import total_capacity
+from .channel import channel_capacity, total_capacity
 from .codec import quantize
-from .model import SensorModel, psd_factor, symmetrize
+from .model import SensorModel, block_diag, psd_factor, symmetrize
 
 GAMMA_CAP = 1.0 - 1e-9
 DIVERGENCE_TRACE = 1e12
 
 
-def cap_gamma(gamma_bar, warn: bool = True) -> np.ndarray:
+def cap_gamma(gamma_bar) -> np.ndarray:
     """Clip reception probabilities at 1 - 1e-9 for the bound machinery."""
-    g = np.atleast_1d(np.asarray(gamma_bar, dtype=float))
-    if np.any(g > GAMMA_CAP):
-        if warn:
-            warnings.warn(
-                "reception probabilities at 1 capped to 1-1e-9 for the bound analysis",
-                stacklevel=2,
-            )
-        g = np.minimum(g, GAMMA_CAP)
-    return g
+    return np.minimum(np.atleast_1d(np.asarray(gamma_bar, dtype=float)), GAMMA_CAP)
 
 
 @dataclass(frozen=True)
@@ -81,14 +73,21 @@ class BoundParams:
 
 @dataclass
 class BoundSequence:
-    """Iterates of the covariance bound with their convergence verdict."""
+    """Iterates of the covariance bound with their convergence verdict.
+
+    `degenerate_steps` counts the iterates whose retention scalar was 0, i.e.
+    the steps that fell back to the prediction-only recursion.
+    """
 
     iterates: list[np.ndarray]
     converged: bool
     diverged: bool
     fixed_point: np.ndarray | None
-    w_history: list[float] = field(default_factory=list)
     degenerate_steps: int = 0
+
+    @property
+    def verdict(self) -> str:
+        return "diverged" if self.diverged else ("converged" if self.converged else "max-steps")
 
     def trace(self) -> np.ndarray:
         return np.array([float(np.trace(v)) for v in self.iterates])
@@ -113,18 +112,7 @@ def default_eta(rate: float, s: float) -> float:
 def stack_sensors(sensors) -> tuple[np.ndarray, np.ndarray, tuple[int, ...]]:
     """Row-stacked C, block-diagonal effective R, and per-channel output dimensions."""
     dims = tuple(s.d_y for s in sensors)
-    c = np.vstack([s.C for s in sensors])
-    n = sum(dims)
-    r = np.zeros((n, n))
-    pos = 0
-    for s in sensors:
-        r[pos:pos + s.d_y, pos:pos + s.d_y] = s.r_eff
-        pos += s.d_y
-    return c, r, dims
-
-
-def _expand(values, dims) -> np.ndarray:
-    return np.concatenate([np.full(m, v) for v, m in zip(values, dims)])
+    return np.vstack([s.C for s in sensors]), block_diag([s.r_eff for s in sensors]), dims
 
 
 def _inflation_diag(distortion_rates: np.ndarray, eta, s: float, dims) -> np.ndarray:
@@ -134,7 +122,7 @@ def _inflation_diag(distortion_rates: np.ndarray, eta, s: float, dims) -> np.nda
     else:
         eta = np.atleast_1d(np.asarray(eta, dtype=float))
     blocks = np.sqrt(s * s * distortion_rates + s_abs * eta + distortion_rates / (s_abs * eta))
-    return np.diag(_expand(blocks, dims))
+    return np.diag(np.repeat(blocks, dims))
 
 
 def noise_inflation_matrix(params: BoundParams, distortion_rates=None, eta=None) -> np.ndarray:
@@ -152,13 +140,13 @@ def noise_inflation_matrix(params: BoundParams, distortion_rates=None, eta=None)
     return _inflation_diag(dn, et, params.s, params.dims)
 
 
-def retention_scalar(sigma_minus, c_stack, r_block, v_mat, warn: bool = True) -> float:
+def retention_scalar(sigma_minus, c_stack, r_block, v_mat) -> float:
     """sqrt(lambda_min(S - V S V) / lambda_max(S)) for the stacked innovation
     covariance S and the inflation matrix V.
 
-    Degenerates to 0 (with a warning) when S - V S V is indefinite, i.e. the
-    encoding noise overwhelms the innovation and the bound falls back to the
-    prediction-only recursion.
+    Degenerates to 0 when S - V S V is indefinite, i.e. the encoding noise
+    overwhelms the innovation and the bound falls back to the prediction-only
+    recursion; `iterate_bound` counts these steps.
     """
     s_mat = symmetrize(c_stack @ symmetrize(np.asarray(sigma_minus, dtype=float)) @ c_stack.T + r_block)
     eig_s = np.linalg.eigvalsh(s_mat)
@@ -167,11 +155,6 @@ def retention_scalar(sigma_minus, c_stack, r_block, v_mat, warn: bool = True) ->
     diff = symmetrize(s_mat - v_mat @ s_mat @ v_mat)
     lam = float(np.linalg.eigvalsh(diff)[0])
     if lam < 0.0:
-        if warn:
-            warnings.warn(
-                "S - V S V is indefinite; information-retention scalar degenerates to 0",
-                stacklevel=2,
-            )
         return 0.0
     return math.sqrt(lam / float(eig_s[-1]))
 
@@ -179,13 +162,7 @@ def retention_scalar(sigma_minus, c_stack, r_block, v_mat, warn: bool = True) ->
 def hadamard_weight(gamma_bar, dims) -> np.ndarray:
     """Bernoulli second-moment weight: cross-channel blocks 1, own blocks 1/gamma_i."""
     g = np.atleast_1d(np.asarray(gamma_bar, dtype=float))
-    n = sum(dims)
-    w = np.ones((n, n))
-    pos = 0
-    for gi, m in zip(g, dims):
-        w[pos:pos + m, pos:pos + m] = 1.0 / gi
-        pos += m
-    return w
+    return block_diag([np.full((m, m), 1.0 / gi) for gi, m in zip(g, dims)], fill=1.0)
 
 
 def _r_inv_sqrt(r: np.ndarray) -> np.ndarray:
@@ -253,11 +230,10 @@ def iterate_bound(
             vm = noise_inflation_matrix(params, distortion_rates=dn)
         else:
             vm = noise_inflation_matrix(params)
-        return retention_scalar(v, c_stack, r_block, vm, warn=False)
+        return retention_scalar(v, c_stack, r_block, vm)
 
     current = symmetrize(np.asarray(v1, dtype=float))
     iterates = [current]
-    w_hist: list[float] = []
     degenerate = 0
     converged = False
     diverged = False
@@ -266,7 +242,6 @@ def iterate_bound(
         w = step_w(current) if recompute else frozen_w
         if w == 0.0:
             degenerate += 1
-        w_hist.append(w)
         nxt = riccati_map(current, params, w)
         iterates.append(nxt)
         rel = np.linalg.norm(nxt - current, "fro") / max(1.0, np.linalg.norm(current, "fro"))
@@ -277,18 +252,11 @@ def iterate_bound(
         if rel < tol:
             converged = True
             break
-    if degenerate:
-        warnings.warn(
-            f"information-retention scalar degenerated to 0 on {degenerate} bound steps "
-            "(prediction-only recursion)",
-            stacklevel=2,
-        )
     return BoundSequence(
         iterates=iterates,
         converged=converged,
         diverged=diverged,
         fixed_point=iterates[-1] if converged else None,
-        w_history=w_hist,
         degenerate_steps=degenerate,
     )
 
@@ -302,8 +270,7 @@ def mahler_entropy(a: np.ndarray) -> tuple[float, float]:
 
 def capacity_condition(a: np.ndarray, gamma_bar) -> dict:
     """Compare the summed channel capacity against the plant's instability entropy."""
-    per_channel = [float(-0.5 * math.log1p(-g)) if g < 1.0 else math.inf
-                   for g in np.atleast_1d(gamma_bar)]
+    per_channel = [channel_capacity(g) for g in np.atleast_1d(gamma_bar)]
     cap = total_capacity(gamma_bar)
     mahler, entropy = mahler_entropy(a)
     return {
@@ -358,13 +325,8 @@ def check_stability_inequality(
     """
     g = np.atleast_1d(np.asarray(gamma_bar, dtype=float))
     sigma = symmetrize(np.asarray(sigma_breve, dtype=float))
-    n = sum(dims)
-    gam_diag = np.diag(_expand(g, dims))
-    mask = np.zeros((n, n))
-    pos = 0
-    for gi, m in zip(g, dims):
-        mask[pos:pos + m, pos:pos + m] = gi * (1.0 - gi)
-        pos += m
+    gam_diag = np.diag(np.repeat(g, dims))
+    mask = block_diag([np.full((m, m), gi * (1.0 - gi)) for gi, m in zip(g, dims)])
     closed = a - gain @ gam_diag @ h
     rhs = closed @ sigma @ closed.T + gain @ (mask * (h @ sigma @ h.T)) @ gain.T
     margin = float(np.linalg.eigvalsh(symmetrize(sigma - rhs))[0])
@@ -440,7 +402,6 @@ def noise_domination_check(
     if any(c.s != s for c in codecs):
         raise ValueError("all channels must share the scale s")
     dims = tuple(sn.d_y for sn in sensors)
-    n = sum(dims)
 
     fx = psd_factor(sigma)
     x = (fx @ rng.standard_normal((fx.shape[1], n_samples))).T
@@ -471,22 +432,11 @@ def noise_domination_check(
     ])
     eta_all = (np.array([default_eta(d, s) for d in dn_all])
                if eta is None else np.atleast_1d(np.asarray(eta, dtype=float)))
-    mid = np.zeros((n, n))
-    pos = 0
-    for i, sn in enumerate(sensors):
-        m = sn.d_y
-        coef = gam[i] ** 2 * (s * s * dn_all[i] + s_abs * eta_all[i]
-                              + dn_all[i] / (s_abs * eta_all[i]))
-        mid[pos:pos + m, pos:pos + m] = coef * (sn.C @ sigma @ sn.C.T + sn.r_eff)
-        pos += m
+    coef = gam ** 2 * (s * s * dn_all + s_abs * eta_all + dn_all / (s_abs * eta_all))
+    mid = block_diag([c * (sn.C @ sigma @ sn.C.T + sn.r_eff) for c, sn in zip(coef, sensors)])
 
     c_gam = np.vstack([gam[i] * sensors[i].C for i in range(len(sensors))])
-    r_gam = np.zeros((n, n))
-    pos = 0
-    for i, sn in enumerate(sensors):
-        m = sn.d_y
-        r_gam[pos:pos + m, pos:pos + m] = gam[i] ** 2 * sn.r_eff
-        pos += m
+    r_gam = block_diag([g ** 2 * sn.r_eff for g, sn in zip(gam, sensors)])
     v_mat = _inflation_diag(dn_all, eta_all, s, dims)
     right = v_mat @ symmetrize(c_gam @ sigma @ c_gam.T + r_gam) @ v_mat
 

@@ -74,15 +74,6 @@ def sample_outcomes(chan: ChannelModel, horizon: int, rng: np.random.Generator) 
     return OutcomeTrace(auth=auth, wire=wire)
 
 
-def erase(outcome: int, payload: np.ndarray):
-    """Channel output: the payload on success, None on a drop.
-
-    Absence is a marker, never the value 0, so a genuine zero-valued packet
-    stays distinguishable from an erasure.
-    """
-    return payload if outcome else None
-
-
 def channel_capacity(gamma_bar_i: float) -> float:
     """Per-channel capacity -0.5 ln(1 - gamma); +inf at gamma = 1 (lossless link)."""
     g = float(gamma_bar_i)
@@ -96,15 +87,3 @@ def channel_capacity(gamma_bar_i: float) -> float:
 def total_capacity(gamma_bar) -> float:
     """Sum of per-channel capacities."""
     return float(sum(channel_capacity(g) for g in np.atleast_1d(gamma_bar)))
-
-
-def trace_to_csv(trace: OutcomeTrace, path) -> None:
-    """Debug export: columns k, auth_1..auth_M, wire_1..wire_M."""
-    m = trace.n_channels
-    header = ["k"] + [f"auth_{i + 1}" for i in range(m)] + [f"wire_{i + 1}" for i in range(m)]
-    lines = [",".join(header)]
-    for k in range(trace.horizon):
-        row = [str(k)] + [str(int(b)) for b in trace.auth[:, k]] + [str(int(b)) for b in trace.wire[:, k]]
-        lines.append(",".join(row))
-    with open(path, "w", newline="\n") as fh:
-        fh.write("\n".join(lines) + "\n")

@@ -109,9 +109,8 @@ def cmd_bound(args) -> int:
         lines.append(f"{j + 1},{fmt17(np.trace(v))}")
     with open(out / "bound.csv", "w", newline="\n") as fh:
         fh.write("\n".join(lines) + "\n")
-    verdict = "diverged" if seq.diverged else ("converged" if seq.converged else "max-steps")
     summary = {
-        "verdict": verdict,
+        "verdict": seq.verdict,
         "steps": len(seq.iterates),
         "final_trace": float(np.trace(seq.iterates[-1])),
         "degenerate_steps": seq.degenerate_steps,
@@ -119,7 +118,7 @@ def cmd_bound(args) -> int:
     with open(out / "bound_summary.json", "w", newline="\n") as fh:
         json.dump(summary, fh, indent=2, sort_keys=True)
         fh.write("\n")
-    print(f"bound verdict: {verdict} after {summary['steps']} iterates, "
+    print(f"bound verdict: {seq.verdict} after {summary['steps']} iterates, "
           f"final trace {fmt17(summary['final_trace'])}")
     return 0
 

@@ -71,21 +71,8 @@ class EncodedPacket:
     z: np.ndarray
     k: int
 
-    def lattice_indices(self, delta: float) -> np.ndarray:
-        return np.rint(self.z / delta).astype(np.int64)
 
-    def to_wire(self, channel: int, delta: float) -> tuple:
-        """Exact serialization as (k, channel, integer lattice indices, delta)."""
-        return (self.k, channel, tuple(int(d) for d in self.lattice_indices(delta)), delta)
-
-    @staticmethod
-    def from_wire(wire: tuple) -> "EncodedPacket":
-        k, _channel, indices, delta = wire
-        return EncodedPacket(z=np.asarray(indices, dtype=float) * delta, k=k)
-
-
-def quantize(zbar: np.ndarray, delta: float, rng: np.random.Generator,
-             return_q: bool = False):
+def quantize(zbar: np.ndarray, delta: float, rng: np.random.Generator) -> np.ndarray:
     """Probabilistic uniform quantization onto the lattice {d*delta, d integer}.
 
     Per component, with d = floor(zbar/delta) and q = zbar/delta - d, returns
@@ -98,22 +85,18 @@ def quantize(zbar: np.ndarray, delta: float, rng: np.random.Generator,
     z = np.asarray(zbar, dtype=float)
     if not np.isfinite(z).all():
         raise ValueError("quantizer input must be finite")
-    out, q = round_to_lattice(z, delta, rng.random(z.shape))
-    if return_q:
-        return out, q
-    return out
+    return round_to_lattice(z, delta, rng.random(z.shape))
 
 
-def round_to_lattice(z: np.ndarray, delta, u: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """The quantizer's rounding with pre-drawn uniforms u: (lattice points, q).
+def round_to_lattice(z: np.ndarray, delta, u: np.ndarray) -> np.ndarray:
+    """The quantizer's rounding with pre-drawn uniforms u: one step up where u < q.
 
     `delta` broadcasts against z, so one call rounds every component of a
     block of trials. Inputs are not validated; `quantize` is the checked form.
     """
     scaled = z / delta
     d = np.floor(scaled)
-    q = scaled - d
-    return (d + (u < q)) * delta, q
+    return (d + (u < scaled - d)) * delta
 
 
 def growth_factors(a, gap, initialized) -> tuple[np.ndarray, np.ndarray]:
@@ -131,17 +114,6 @@ def growth_factors(a, gap, initialized) -> tuple[np.ndarray, np.ndarray]:
     return factor, overflow
 
 
-def _growth_factor(params: CodecParams, gap: int, k: int) -> float:
-    if gap < 0:
-        raise ValueError(f"step {k} precedes the reference time")
-    factor, overflow = growth_factors(params.a, gap, True)
-    if overflow:
-        raise CodecOverflowError(
-            f"reference growth a^{gap} = {params.a}^{gap} overflows at step {k}"
-        )
-    return float(factor)
-
-
 def reference_residual(y, factor, y_ref, s):
     """The encoder's pre-quantization value (y - factor y_ref) / s, elementwise."""
     return (y - factor * y_ref) / s
@@ -154,11 +126,16 @@ def reconstruct(z, factor, y_ref, s):
 
 def _reference_factor(state: CodecState, params: CodecParams, k: int) -> float:
     """a^{k-t_ref}, or 0 before the first reception (the reference is then ignored)."""
-    if state.initialized:
-        return _growth_factor(params, k - state.t_ref, k)
-    if k < state.t_ref:
+    gap = k - state.t_ref
+    if gap < 0:
         raise ValueError(f"step {k} precedes the reference time")
-    return 0.0
+    if not state.initialized:
+        return 0.0
+    factor, overflow = growth_factors(params.a, gap, True)
+    if overflow:
+        raise CodecOverflowError(
+            f"reference growth a^{gap} = {params.a}^{gap} overflows at step {k}")
+    return float(factor)
 
 
 def encode(state: CodecState, params: CodecParams, y: np.ndarray, k: int,
@@ -187,7 +164,5 @@ def ack(state: CodecState, decoded: np.ndarray, k: int) -> CodecState:
     return CodecState(y_ref=np.asarray(decoded, dtype=float), t_ref=k, initialized=True)
 
 
-def eavesdrop_decode(state: CodecState, params: CodecParams, z: np.ndarray, k: int
-                     ) -> tuple[np.ndarray, CodecState]:
-    """Eavesdropper decode: identical formula, driven by its own reception history."""
-    return decode(state, params, z, k)
+# The eavesdropper decodes with the same formula, driven by its own reception history.
+eavesdrop_decode = decode

@@ -130,21 +130,3 @@ def run_filter(
         x, P = fusion.update(x, P, y[k:k + 1], outcomes[None, :, k], rdec[k])
         out.x[2 * k + 1], out.P[2 * k + 1] = x[0], P[0]
     return out
-
-
-def filter_trace_csv(states: np.recarray, path) -> None:
-    """Export the updated states of `run_filter`: k, estimate components, diag(P), trace(P)."""
-    upd = states[1::2]
-    if not len(upd):
-        raise ValueError("no updated states to export")
-    d = upd.x.shape[1]
-    header = (["k"] + [f"xhat_{j + 1}" for j in range(d)]
-              + [f"P_{j + 1}{j + 1}" for j in range(d)] + ["trace_P"])
-    lines = [",".join(header)]
-    for k, s in enumerate(upd):
-        row = ([str(k)] + [format(v, ".17g") for v in s.x]
-               + [format(v, ".17g") for v in np.diag(s.P)]
-               + [format(float(np.trace(s.P)), ".17g")])
-        lines.append(",".join(row))
-    with open(path, "w", newline="\n") as fh:
-        fh.write("\n".join(lines) + "\n")

@@ -7,7 +7,6 @@ from __future__ import annotations
 
 import json
 import math
-import warnings
 from dataclasses import dataclass, field, replace
 from itertools import repeat
 
@@ -18,7 +17,8 @@ from .channel import ChannelModel, OutcomeTrace, sample_outcomes
 from .codec import (CodecOverflowError, CodecParams, growth_factors, reconstruct,
                     reference_residual, round_to_lattice)
 from .estimator import ConditioningError, FusionFilter, decoding_noise
-from .model import SensorModel, SystemModel, from_config, simulate_plants, three_tank_preset
+from .model import (SensorModel, SystemModel, check_keys, from_config, simulate_plants,
+                    three_tank_preset)
 from .rng import substream
 
 EVE_SATURATION = 1e15
@@ -138,10 +138,7 @@ _FULL_KEYS = {"model", "channel", "codec", "seed", "horizon", "trials", "outcome
 
 def _options(cfg: dict, allowed: set[str], form: str) -> dict:
     """The optional Scenario fields of a configuration; unknown keys are errors."""
-    unknown = sorted(set(cfg) - allowed)
-    if unknown:
-        raise ValueError(f"unknown key(s) {unknown} in a {form} scenario; "
-                         f"allowed: {sorted(allowed)}")
+    check_keys(cfg, allowed, f"a {form} scenario")
     opts = {key: cfg[key] for key in _OPTIONAL_KEYS if key in cfg}
     for key in ("transparent_quantizer", "track_eavesdropper"):
         if key in opts:
@@ -171,6 +168,8 @@ def scenario_from_dict(cfg: dict) -> Scenario:
     model, sensors = from_config(cfg["model"])
     chan = cfg["channel"]
     codec = cfg["codec"]
+    check_keys(chan, {"gamma", "gamma_eve"}, "channel")
+    check_keys(codec, {"a", "delta", "s"}, "codec")
     return Scenario(
         model=model,
         sensors=tuple(sensors),
@@ -296,7 +295,7 @@ def run_block(scenario: Scenario, start: int, stop: int) -> BlockResult:
             if not finite.all():
                 raise ValueError(f"trial {trials[np.argmin(finite)]} (seed {seed}): "
                                  f"quantizer input must be finite at step {k}")
-            z = round_to_lattice(pre, delta, uniforms[:, k])[0]
+            z = round_to_lattice(pre, delta, uniforms[:, k])
 
         if alive.any():
             heard = wire[:, :, k] & alive[:, None]
@@ -352,7 +351,7 @@ class RunResult:
     mse_legit: np.ndarray          # mean ||x - xhat||^2 over trials
     mse_eve: np.ndarray            # mean over unsaturated trials; +inf when none remain
     eve_saturated: np.ndarray      # 1 where any trial has saturated
-    emp_cov: np.ndarray            # (H, d, d) trial-averaged prediction-error outer products
+    emp_cov_trace: np.ndarray      # trace of the trial-averaged prediction-error covariance
     emp_cov_trace_se: np.ndarray   # standard error of the empirical trace
     eve_mean_err: np.ndarray       # (H, d) mean eavesdropper error over unsaturated trials
     events: list[tuple[int, int, int, bool]]  # (trial, channel, k_bar, worst_case)
@@ -363,10 +362,6 @@ class RunResult:
     bound_trace: np.ndarray | None = None
     scenario_name: str = ""
 
-    @property
-    def emp_cov_trace(self) -> np.ndarray:
-        return np.einsum("kii->k", self.emp_cov)
-
 
 def bound_params_for(scenario: Scenario) -> BoundParams:
     """Analysis-side parameters for a scenario; lossless links are capped."""
@@ -374,7 +369,7 @@ def bound_params_for(scenario: Scenario) -> BoundParams:
         A=scenario.model.A,
         qeff=scenario.model.qeff,
         sensors=scenario.sensors,
-        gamma_bar=cap_gamma(scenario.gamma_bar, warn=False),
+        gamma_bar=cap_gamma(scenario.gamma_bar),
         s=scenario.s,
         delta=scenario.delta,
     )
@@ -394,10 +389,7 @@ def compute_bound(scenario: Scenario, recompute: bool = True, tol: float = 1e-10
     v1 = model.A @ model.P0 @ model.A.T + model.qeff
     if max_steps is None:
         max_steps = max(scenario.horizon - 1, 1)
-    with warnings.catch_warnings():
-        warnings.simplefilter("ignore")
-        seq = iterate_bound(v1, params, max_steps=max_steps,
-                            recompute=recompute, tol=tol)
+    seq = iterate_bound(v1, params, max_steps=max_steps, recompute=recompute, tol=tol)
     traces = seq.trace()
     out = np.empty(scenario.horizon)
     out[0] = float(np.trace(model.P0))
@@ -440,7 +432,6 @@ def run_monte_carlo(scenario: Scenario, workers: int = 1, compute_bound_trace: b
     sat = np.arange(h) >= saturated_at[:, None]  # (T, H)
 
     mse_legit = np.einsum("thd,thd->h", legit, legit) / t
-    emp_cov = np.einsum("thi,thj->hij", pred, pred) / t
     sq = np.einsum("thd,thd->th", pred, pred)
     trace_se = sq.std(axis=0, ddof=1) / math.sqrt(t) if t > 1 else np.zeros(h)
 
@@ -464,7 +455,7 @@ def run_monte_carlo(scenario: Scenario, workers: int = 1, compute_bound_trace: b
         mse_legit=mse_legit,
         mse_eve=mse_eve,
         eve_saturated=sat.any(axis=0).astype(np.uint8),
-        emp_cov=emp_cov,
+        emp_cov_trace=sq.sum(axis=0) / t,
         emp_cov_trace_se=trace_se,
         eve_mean_err=mean_err,
         events=events,
@@ -497,6 +488,8 @@ def secrecy_report(result: RunResult, scenario: Scenario) -> dict:
     detail: dict = {
         "criterion_i": crit_i,
         "bound_diverged": bool(result.bound.diverged),
+        "bound_verdict": result.bound.verdict,
+        "bound_degenerate_steps": result.bound.degenerate_steps,
         "max_bound_violation": float((emp - result.bound_trace - slack).max()),
         "diverged_trials": result.diverged_trials,
     }

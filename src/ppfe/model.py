@@ -2,6 +2,7 @@
 from __future__ import annotations
 
 from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 
@@ -11,6 +12,17 @@ PSD_EIG_TOL = 1e-10
 def symmetrize(m: np.ndarray) -> np.ndarray:
     """Symmetric part of a matrix, or of each matrix in a stack."""
     return 0.5 * (m + np.swapaxes(m, -1, -2))
+
+
+def block_diag(blocks, fill: float = 0.0) -> np.ndarray:
+    """Square blocks along the diagonal, `fill` in every entry outside them."""
+    dims = [b.shape[0] for b in blocks]
+    out = np.full((sum(dims), sum(dims)), float(fill))
+    pos = 0
+    for b, m in zip(blocks, dims):
+        out[pos:pos + m, pos:pos + m] = b
+        pos += m
+    return out
 
 
 def check_psd(m: np.ndarray, name: str, tol: float = PSD_EIG_TOL) -> np.ndarray:
@@ -171,50 +183,11 @@ class SensorModel:
         return symmetrize(self.E @ self.R @ self.E.T)
 
 
-@dataclass(frozen=True)
-class Trajectory:
+class Trajectory(NamedTuple):
     """One plant realization: states x_0..x_H, measurements y_{i,0}..y_{i,H-1}."""
 
     states: np.ndarray
     measurements: tuple[np.ndarray, ...]
-
-    def __post_init__(self):
-        states = np.asarray(self.states, dtype=float)
-        meas = tuple(np.asarray(m, dtype=float) for m in self.measurements)
-        h = states.shape[0] - 1
-        if h < 1:
-            raise ValueError("trajectory must cover at least one step")
-        for m in meas:
-            if m.shape[0] != h:
-                raise ValueError("measurement length must equal the horizon")
-        object.__setattr__(self, "states", _lock(states))
-        object.__setattr__(self, "measurements", meas)
-
-    @property
-    def horizon(self) -> int:
-        return self.states.shape[0] - 1
-
-
-def step_state(model: SystemModel, x: np.ndarray, u: np.ndarray, w: np.ndarray) -> np.ndarray:
-    """One deterministic transition A x + B u + D w."""
-    x = np.asarray(x, dtype=float)
-    u = np.asarray(u, dtype=float)
-    w = np.asarray(w, dtype=float)
-    if x.shape != (model.d_x,) or u.shape != (model.d_u,) or w.shape != (model.d_w,):
-        raise ValueError(
-            f"dimension mismatch: expected x({model.d_x},), u({model.d_u},), w({model.d_w},); "
-            f"got {x.shape}, {u.shape}, {w.shape}"
-        )
-    return model.A @ x + model.B @ u + model.D @ w
-
-
-def measure(sensor: SensorModel, x: np.ndarray, v: np.ndarray) -> np.ndarray:
-    """One measurement C x + E v."""
-    x = np.asarray(x, dtype=float)
-    v = np.asarray(v, dtype=float)
-    if x.shape[0] != sensor.C.shape[1] or v.shape != (sensor.d_v,):
-        raise ValueError(f"dimension mismatch: expected x({sensor.C.shape[1]},), v({sensor.d_v},)")
-    return sensor.C @ x + sensor.E @ v
 
 
 def simulate_plants(
@@ -300,6 +273,13 @@ MODEL_PRESETS = {
 }
 
 
+def check_keys(cfg: dict, allowed: set[str], where: str) -> None:
+    """Reject the keys of a configuration object that `allowed` does not name."""
+    unknown = sorted(set(cfg) - allowed)
+    if unknown:
+        raise ValueError(f"unknown key(s) {unknown} in {where}; allowed: {sorted(allowed)}")
+
+
 def from_config(cfg: dict) -> tuple[SystemModel, list[SensorModel]]:
     """Build (model, sensors) from a key-value tree with row-major nested arrays.
 
@@ -308,11 +288,15 @@ def from_config(cfg: dict) -> tuple[SystemModel, list[SensorModel]]:
      "sensors": [{"C": ..., "R": ..., "E"?}, ...]}.
     """
     if "preset" in cfg:
+        check_keys(cfg, {"preset"}, "a model preset")
         name = cfg["preset"]
         try:
             return MODEL_PRESETS[name]()
         except KeyError:
             raise ValueError(f"unknown model preset {name!r}; known: {sorted(MODEL_PRESETS)}") from None
+    check_keys(cfg, {"A", "Q", "x0_mean", "P0", "B", "D", "u", "sensors"}, "model")
+    for i, s in enumerate(cfg.get("sensors", ())):
+        check_keys(s, {"C", "R", "E"}, f"sensor {i}")
     try:
         model = SystemModel(
             A=cfg["A"],

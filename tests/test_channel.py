@@ -3,8 +3,8 @@ import math
 import numpy as np
 import pytest
 
-from ppfe.channel import (ChannelModel, OutcomeTrace, channel_capacity, erase,
-                          sample_outcomes, total_capacity, trace_to_csv)
+from ppfe.channel import (ChannelModel, OutcomeTrace, channel_capacity, sample_outcomes,
+                          total_capacity)
 from ppfe.rng import substream
 
 
@@ -44,15 +44,6 @@ def test_outcome_streams_uncorrelated():
         for j in range(i + 1, 4):
             rho = np.corrcoef(streams[i], streams[j])[0, 1]
             assert abs(rho) < 0.02
-
-
-def test_erase_passes_payload_and_marks_absence():
-    z = np.array([1.0, -2.0])
-    assert erase(1, z) is z
-    assert erase(0, z) is None
-    zero = np.zeros(2)
-    got = erase(1, zero)
-    assert got is not None and np.array_equal(got, zero)
 
 
 def test_capacity_inverse_point():
@@ -98,16 +89,6 @@ def test_total_capacity_two_identical_inverse_points():
 
 def test_single_channel_total_equals_channel():
     assert total_capacity([0.44]) == channel_capacity(0.44)
-
-
-def test_trace_csv_roundtrip(tmp_path):
-    trace = OutcomeTrace(auth=[[1, 0, 1]], wire=[[0, 1, 1]])
-    path = tmp_path / "trace.csv"
-    trace_to_csv(trace, path)
-    lines = path.read_text().splitlines()
-    assert lines[0] == "k,auth_1,wire_1"
-    assert lines[1] == "0,1,0"
-    assert lines[3] == "2,1,1"
 
 
 def test_channel_model_validation():

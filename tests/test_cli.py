@@ -49,6 +49,16 @@ def test_simulate_writes_outputs_and_is_deterministic(tmp_path):
     assert (out1 / "summary.json").read_bytes() == (out2 / "summary.json").read_bytes()
 
 
+def test_simulate_summary_reports_bound_diagnostics(tmp_path):
+    # the A1 bound falls back to the prediction-only recursion on most iterates
+    proc = run_cli("simulate", "--preset", "three-tank-groupA1", "--seed", "7",
+                   "--trials", "20", "--horizon", "200", "--out", str(tmp_path))
+    assert proc.returncode == 0, proc.stderr
+    summary = json.loads((tmp_path / "summary.json").read_text())
+    assert summary["bound_degenerate_steps"] == 171
+    assert summary["bound_verdict"] == "max-steps"
+
+
 def test_simulate_rejects_zero_trials(tmp_path):
     proc = run_cli("simulate", "--preset", "three-tank-groupA1", "--trials", "0",
                    "--out", str(tmp_path))
@@ -191,3 +201,26 @@ def test_unknown_preset_key_is_usage_error(tmp_path):
     proc = run_cli("simulate", "--scenario", path, "--out", str(tmp_path / "out"))
     assert proc.returncode == 2, proc.stderr
     assert "'trails'" in proc.stderr
+
+
+@pytest.mark.parametrize("where, key", [("channel", "gama"), ("codec", "sigma"),
+                                        ("sensor", "Rr"), ("model", "BB")])
+def test_unknown_nested_key_is_usage_error(tmp_path, where, key):
+    cfg = scalar_config()
+    target = cfg["model"]["sensors"][0] if where == "sensor" else cfg[where]
+    target[key] = 1.0
+    proc = run_cli("simulate", "--scenario", write_scenario(tmp_path, cfg),
+                   "--out", str(tmp_path / "out"))
+    assert proc.returncode == 2, proc.stderr
+    assert f"'{key}'" in proc.stderr and len(proc.stderr.strip().splitlines()) == 1
+
+
+@pytest.mark.parametrize("command", ["simulate", "bound"])
+def test_benchmark_setup_probe_reaches_a_layer(tmp_path, command):
+    # perfbench/launch.py wraps names bound on ppfe.cli and ppfe.harness and exits 0
+    # at the first call into one; a refactor that unbinds them makes it exit 3
+    launch = Path(SRC).parent / "perfbench" / "launch.py"
+    proc = subprocess.run([sys.executable, str(launch), "setup", "--", command, "--preset",
+                           "three-tank-groupA1", "--trials", "1", "--horizon", "20",
+                           "--out", str(tmp_path)], capture_output=True, text=True)
+    assert proc.returncode == 0, proc.stderr

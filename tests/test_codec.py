@@ -2,6 +2,7 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings, strategies as st
 
 from ppfe.codec import (CodecOverflowError, CodecParams, CodecState, ack,
                         bootstrap_state, decode, eavesdrop_decode, encode,
@@ -193,11 +194,15 @@ def _worst_case_decode_errors(a, delta, s, k_bar, horizon, transparent, seed=15)
     return e_bar, e_enc
 
 
-def test_worst_case_growth_transparent_ratio_exact():
-    a = 5.0
-    k_bar = 3
-    e_bar, _ = _worst_case_decode_errors(a, 0.01, 1.0, k_bar, 26, transparent=True)
-    for k in range(k_bar + 2, 24):
+@settings(max_examples=25, deadline=None)
+@example(a=5.0, s=1.0, k_bar=3)
+@given(a=st.floats(1.2, 10.0, exclude_min=True, exclude_max=True),
+       s=st.sampled_from([1.0, 2.0]), k_bar=st.integers(0, 5))
+def test_worst_case_growth_transparent_ratio_exact(a, s, k_bar):
+    # the C3 law on random codecs: past the missed packet the eavesdropper's
+    # decode error grows by exactly a per step, here over 15 steps
+    e_bar, _ = _worst_case_decode_errors(a, 0.01, s, k_bar, k_bar + 17, transparent=True)
+    for k in range(k_bar + 2, k_bar + 17):
         ratio = e_bar[k] / e_bar[k - 1]
         assert abs(ratio - a) < 1e-9 * a
 
@@ -236,15 +241,6 @@ def test_uninitialized_reference_skips_growth_factor():
     pkt = encode(bootstrap_state(1), params, np.array([0.5]), 10_000, rng(17))
     ybar, _ = decode(bootstrap_state(1), params, pkt.z, 10_000)
     assert abs(ybar[0] - 0.5) <= 0.01
-
-
-def test_packet_wire_roundtrip():
-    params = CodecParams(a=2.0, delta=0.05, s=1.0)
-    pkt = encode(bootstrap_state(2), params, np.array([0.35, -0.1]), 7, rng(18))
-    wire = pkt.to_wire(channel=1, delta=0.05)
-    back = EncodedPacket.from_wire(wire)
-    assert back.k == 7
-    assert np.allclose(back.z, pkt.z, atol=1e-12)
 
 
 def test_codec_params_validation():

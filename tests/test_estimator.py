@@ -3,8 +3,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from ppfe.codec import CodecParams
-from ppfe.estimator import (ConditioningError, FusionFilter, decoding_noise,
-                            filter_trace_csv, run_filter)
+from ppfe.estimator import ConditioningError, FusionFilter, decoding_noise, run_filter
 from ppfe.model import SensorModel, SystemModel, three_tank_preset
 
 
@@ -326,20 +325,6 @@ def test_singular_noise_sensor_dropped_on_some_steps():
         assert np.allclose(states[2 * k + 1].x, x, rtol=1e-9, atol=1e-12)
         assert np.allclose(states[2 * k + 1].P, p, rtol=1e-9, atol=1e-12)
     assert fusion.R.shape == (3, 3) and np.linalg.matrix_rank(fusion.R[:2, :2]) == 1
-
-
-def test_filter_trace_csv(tmp_path):
-    model = scalar_model()
-    sensors = [scalar_sensor()]
-    codecs = [unit_codec()]
-    outcomes = np.ones((1, 3), dtype=int)
-    decoded = [[np.array([0.1])], [np.array([0.2])], [np.array([0.3])]]
-    states = run_filter(model, sensors, codecs, outcomes, decoded)
-    path = tmp_path / "trace.csv"
-    filter_trace_csv(states, path)
-    lines = path.read_text().splitlines()
-    assert lines[0] == "k,xhat_1,P_11,trace_P"
-    assert len(lines) == 4
 
 
 def reduced_form_update(x, p, y, received, sensors, rdec):

@@ -162,8 +162,7 @@ def test_monte_carlo_single_trial_equals_run_trial():
     mc = run_monte_carlo(sc)
     tr = run_trial(sc, 0)
     assert np.allclose(mc.mse_legit, (tr.legit_err ** 2).sum(axis=1))
-    emp = np.einsum("hi,hj->hij", tr.pred_err, tr.pred_err)
-    assert np.allclose(mc.emp_cov, emp)
+    assert np.allclose(mc.emp_cov_trace, (tr.pred_err ** 2).sum(axis=1))
 
 
 def test_monte_carlo_worker_determinism():
@@ -172,7 +171,7 @@ def test_monte_carlo_worker_determinism():
     r2 = run_monte_carlo(sc, workers=2)
     assert r1.mse_legit.tobytes() == r2.mse_legit.tobytes()
     assert r1.mse_eve.tobytes() == r2.mse_eve.tobytes()
-    assert r1.emp_cov.tobytes() == r2.emp_cov.tobytes()
+    assert r1.emp_cov_trace.tobytes() == r2.emp_cov_trace.tobytes()
     assert r1.events == r2.events
 
 

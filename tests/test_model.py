@@ -1,8 +1,7 @@
 import numpy as np
 import pytest
 
-from ppfe.model import (SensorModel, SystemModel, from_config, measure,
-                        simulate_plant, step_state, three_tank_preset)
+from ppfe.model import SensorModel, SystemModel, from_config, simulate_plant, three_tank_preset
 from ppfe.rng import substream
 
 
@@ -15,51 +14,6 @@ def matmul_oracle(m, v):
             acc += float(a) * float(b)
         out.append(acc)
     return np.array(out)
-
-
-def test_step_state_identity_transition():
-    model = SystemModel(A=np.eye(2), Q=np.zeros((2, 2)), x0_mean=np.zeros(2), P0=np.zeros((2, 2)))
-    out = step_state(model, np.array([1.0, 2.0]), np.zeros(1), np.zeros(2))
-    assert np.array_equal(out, [1.0, 2.0])
-
-
-def test_step_state_pure_input():
-    model = SystemModel(A=np.zeros((2, 2)), B=np.eye(2), Q=np.zeros((2, 2)),
-                        x0_mean=np.zeros(2), P0=np.zeros((2, 2)))
-    out = step_state(model, np.array([9.0, -3.0]), np.array([3.0, 4.0]), np.zeros(2))
-    assert np.array_equal(out, [3.0, 4.0])
-
-
-def test_step_state_three_tank_matches_loop_product():
-    model, _ = three_tank_preset()
-    x0 = np.array([0.3, 0.1, 0.2])
-    u = np.array([3.0e-5, 2.0e-5])
-    expected = matmul_oracle(model.A, x0) + matmul_oracle(model.B, u)
-    out = step_state(model, x0, u, np.zeros(2))
-    assert np.allclose(out, expected, rtol=0, atol=1e-15)
-
-
-def test_step_state_dimension_mismatch():
-    model, _ = three_tank_preset()
-    with pytest.raises(ValueError):
-        step_state(model, np.zeros(2), np.zeros(2), np.zeros(2))
-
-
-def test_measure_identity():
-    sensor = SensorModel(C=np.eye(3), R=np.eye(3))
-    assert np.array_equal(measure(sensor, np.array([1.0, 2.0, 3.0]), np.zeros(3)), [1, 2, 3])
-
-
-def test_measure_three_tank_first_sensor_selects_states_1_and_3():
-    _, sensors = three_tank_preset()
-    out = measure(sensors[0], np.array([0.3, 0.1, 0.2]), np.zeros(2))
-    assert np.allclose(out, [0.3, 0.2])
-
-
-def test_measure_pure_noise():
-    sensor = SensorModel(C=np.eye(2), R=np.eye(2))
-    out = measure(sensor, np.zeros(2), np.array([0.01, -0.02]))
-    assert np.allclose(out, [0.01, -0.02])
 
 
 def test_sensor_requires_full_row_rank():
@@ -88,6 +42,19 @@ def test_simulate_noiseless_follows_deterministic_recursion():
     for k in range(10):
         x = model.A @ x + model.B @ np.array([0.25])
         assert np.allclose(traj.states[k + 1], x, atol=1e-9)
+    # one noiseless three-tank step against loop products independent of numpy's matmul
+    tank, tank_sensors = three_tank_preset()
+    model = SystemModel(A=tank.A, B=tank.B, D=tank.D, Q=np.zeros((2, 2)), x0_mean=tank.x0_mean,
+                        P0=np.zeros((3, 3)), u=tank.u)
+    sensors = [SensorModel(C=s.C, R=1e-24 * np.eye(2)) for s in tank_sensors]
+    traj = simulate_plant(model, sensors, 1, substream(3, "plant", 1))
+    x0 = np.array([0.3, 0.1, 0.2])
+    expected = matmul_oracle(model.A, x0) + matmul_oracle(model.B, [3.0e-5, 2.0e-5])
+    assert np.allclose(traj.states[1], expected, rtol=0, atol=1e-15)
+    # measurements are C_i x_k; the first sensor selects states 1 and 3
+    for s, y in zip(sensors, traj.measurements):
+        assert np.allclose(y, traj.states[:1] @ s.C.T, rtol=0, atol=1e-9)
+    assert np.allclose(traj.measurements[0][0], [0.3, 0.2], rtol=0, atol=1e-9)
 
 
 def test_simulate_seed_determinism_bytewise():
