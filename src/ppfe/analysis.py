@@ -6,7 +6,7 @@ from __future__ import annotations
 
 import math
 import warnings
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -28,8 +28,10 @@ class BoundParams:
     """Inputs of the covariance-bound iteration.
 
     `delta` holds the codec quantization steps (used when distortion rates are
-    refreshed from the running iterate); `distortion_rates`/`eta` hold fixed distortion
-    rates and split scalars for the fixed-parameter mode.
+    refreshed from the running iterate); `distortion_rates` holds fixed rates
+    for the fixed-parameter mode. The matrices that depend only on the sensors
+    and `gamma_bar` are built once here: the stacked C, the block-diagonal
+    effective R, the whitened stack of R_i^{-1/2} C_i and the Hadamard weight.
     """
 
     A: np.ndarray
@@ -39,13 +41,17 @@ class BoundParams:
     s: float
     delta: np.ndarray | None = None
     distortion_rates: np.ndarray | None = None
-    eta: np.ndarray | None = None
+    c_stack: np.ndarray = field(init=False, repr=False, compare=False)
+    r_block: np.ndarray = field(init=False, repr=False, compare=False)
+    whitened: np.ndarray = field(init=False, repr=False, compare=False)
+    weight: np.ndarray = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
+        m = len(self.sensors)
         g = np.atleast_1d(np.asarray(self.gamma_bar, dtype=float))
         if np.any(g <= 0.0) or np.any(g > GAMMA_CAP):
             raise ValueError("gamma_bar entries must lie in (0, 1-1e-9]; cap lossless links first")
-        if g.size != len(self.sensors):
+        if g.size != m:
             raise ValueError("need one reception probability per sensor")
         if self.s == 0.0:
             raise ValueError("scale s must be nonzero")
@@ -53,18 +59,21 @@ class BoundParams:
         object.__setattr__(self, "qeff", symmetrize(np.asarray(self.qeff, dtype=float)))
         object.__setattr__(self, "sensors", tuple(self.sensors))
         object.__setattr__(self, "gamma_bar", g)
-        if self.delta is not None:
-            object.__setattr__(self, "delta", np.atleast_1d(np.asarray(self.delta, dtype=float)))
-        if self.distortion_rates is not None:
-            dn = np.atleast_1d(np.asarray(self.distortion_rates, dtype=float))
-            if np.any(dn <= 0.0) or np.any(dn >= 1.0):
-                raise ValueError("distortion rates must lie in (0, 1)")
-            object.__setattr__(self, "distortion_rates", dn)
-        if self.eta is not None:
-            et = np.atleast_1d(np.asarray(self.eta, dtype=float))
-            if np.any(et <= 0.0):
-                raise ValueError("eta scalars must be positive")
-            object.__setattr__(self, "eta", et)
+        for label in ("delta", "distortion_rates"):
+            if getattr(self, label) is not None:
+                v = np.atleast_1d(np.asarray(getattr(self, label), dtype=float))
+                if v.size != m:
+                    raise ValueError(f"{label} must have one entry per sensor ({m})")
+                object.__setattr__(self, label, v)
+        dn = self.distortion_rates
+        if dn is not None and (np.any(dn <= 0.0) or np.any(dn >= 1.0)):
+            raise ValueError("distortion rates must lie in (0, 1)")
+        c_stack, r_block, dims = stack_sensors(self.sensors)
+        whitened = np.vstack([_r_inv_sqrt(sn.r_eff, i) @ sn.C for i, sn in enumerate(self.sensors)])
+        for name, val in (("c_stack", c_stack), ("r_block", r_block), ("whitened", whitened),
+                          ("weight", hadamard_weight(g, dims))):
+            val.setflags(write=False)
+            object.__setattr__(self, name, val)
 
     @property
     def dims(self) -> tuple[int, ...]:
@@ -115,29 +124,22 @@ def stack_sensors(sensors) -> tuple[np.ndarray, np.ndarray, tuple[int, ...]]:
     return np.vstack([s.C for s in sensors]), block_diag([s.r_eff for s in sensors]), dims
 
 
-def _inflation_diag(distortion_rates: np.ndarray, eta, s: float, dims) -> np.ndarray:
+def _inflation_diag(distortion_rates: np.ndarray, s: float, dims) -> np.ndarray:
     s_abs = abs(s)
-    if eta is None:
-        eta = np.array([default_eta(d, s) for d in distortion_rates])
-    else:
-        eta = np.atleast_1d(np.asarray(eta, dtype=float))
+    eta = np.array([default_eta(d, s) for d in distortion_rates])
     blocks = np.sqrt(s * s * distortion_rates + s_abs * eta + distortion_rates / (s_abs * eta))
     return np.diag(np.repeat(blocks, dims))
 
 
-def noise_inflation_matrix(params: BoundParams, distortion_rates=None, eta=None) -> np.ndarray:
-    """Block-diagonal inflation with entries sqrt(s^2 d + |s| eta + d/(|s| eta)).
+def noise_inflation_matrix(params: BoundParams, distortion_rates=None) -> np.ndarray:
+    """Block-diagonal inflation with entries sqrt(s^2 d + |s| eta + d/(|s| eta)),
+    at eta = sqrt(d)/|s|, where the last two terms are smallest (2 sqrt(d)).
 
-    With the default eta = sqrt(d)/|s| the last two terms collapse to
-    2 sqrt(d), the tightest value of this family.
+    `distortion_rates` defaults to the fixed rates of `params`.
     """
     if distortion_rates is None:
         distortion_rates = params.distortion_rates
-    dn = np.atleast_1d(np.asarray(distortion_rates, dtype=float))
-    if dn.size != len(params.sensors):
-        raise ValueError("need one distortion rate per channel")
-    et = eta if eta is not None else params.eta
-    return _inflation_diag(dn, et, params.s, params.dims)
+    return _inflation_diag(distortion_rates, params.s, params.dims)
 
 
 def retention_scalar(sigma_minus, c_stack, r_block, v_mat) -> float:
@@ -165,30 +167,25 @@ def hadamard_weight(gamma_bar, dims) -> np.ndarray:
     return block_diag([np.full((m, m), 1.0 / gi) for gi, m in zip(g, dims)], fill=1.0)
 
 
-def _r_inv_sqrt(r: np.ndarray) -> np.ndarray:
+def _r_inv_sqrt(r: np.ndarray, sensor: int) -> np.ndarray:
     w, u = np.linalg.eigh(symmetrize(r))
     if w[0] <= 0.0:
-        raise ValueError("R must be positive definite")
+        raise ValueError(f"sensor {sensor}: effective noise E R E^T must be positive definite")
     return (u / np.sqrt(w)) @ u.T
-
-
-def whitened_stack(sensors, w: float) -> np.ndarray:
-    """Stack of R_i^{-1/2} C_i scaled by the retention scalar w."""
-    return np.vstack([_r_inv_sqrt(s.r_eff) @ s.C for s in sensors]) * w
 
 
 def riccati_map(x: np.ndarray, params: BoundParams, w: float) -> np.ndarray:
     """One application of the lossy-channel Riccati map.
 
     Maps X to A X A^T + Q - A X H^T [M ∘ (H X H^T + I)]^{-1} H X A^T, with H
-    the whitened measurement stack and M the channel-wise Hadamard weight
-    accounting for Bernoulli reception.
+    the whitened measurement stack scaled by the retention scalar w and M the
+    channel-wise Hadamard weight accounting for Bernoulli reception.
     """
     x = symmetrize(np.asarray(x, dtype=float))
     a = params.A
-    h = whitened_stack(params.sensors, w)
+    h = params.whitened * w
     n = h.shape[0]
-    inner = hadamard_weight(params.gamma_bar, params.dims) * (h @ x @ h.T + np.eye(n))
+    inner = params.weight * (h @ x @ h.T + np.eye(n))
     t1 = a @ x @ h.T
     try:
         gain_term = t1 @ np.linalg.solve(inner, t1.T)
@@ -203,34 +200,27 @@ def iterate_bound(
     max_steps: int,
     recompute: bool = True,
     tol: float = 1e-10,
-    divergence_trace: float = DIVERGENCE_TRACE,
 ) -> BoundSequence:
     """Iterate the Riccati map from V_1 (caller-supplied, >= the first prediction covariance).
 
     With `recompute`, the distortion rates and the retention scalar w are
     refreshed from the running iterate (which stands in for the prediction
-    covariance they reference); otherwise the fixed distortion_rates/eta of `params`
+    covariance they reference); otherwise the fixed distortion_rates of `params`
     are used and w is frozen at its V_1 value. Convergence is declared at
-    relative Frobenius change < tol, divergence at trace > divergence_trace.
+    relative Frobenius change < tol, divergence at trace > DIVERGENCE_TRACE.
     """
     if max_steps < 1:
         raise ValueError("max_steps must be >= 1")
-    c_stack, r_block, _ = stack_sensors(params.sensors)
     if recompute and params.delta is None:
         raise ValueError("recompute mode needs the codec quantization steps in params.delta")
     if not recompute and params.distortion_rates is None:
         raise ValueError("fixed mode needs distortion rates in params.distortion_rates")
 
     def step_w(v):
-        if recompute:
-            dn = np.array([
-                default_distortion_rate(s, v, d, params.s)
-                for s, d in zip(params.sensors, params.delta)
-            ])
-            vm = noise_inflation_matrix(params, distortion_rates=dn)
-        else:
-            vm = noise_inflation_matrix(params)
-        return retention_scalar(v, c_stack, r_block, vm)
+        dn = np.array([default_distortion_rate(s, v, d, params.s)
+                       for s, d in zip(params.sensors, params.delta)]) if recompute else None
+        vm = noise_inflation_matrix(params, distortion_rates=dn)
+        return retention_scalar(v, params.c_stack, params.r_block, vm)
 
     current = symmetrize(np.asarray(v1, dtype=float))
     iterates = [current]
@@ -246,7 +236,7 @@ def iterate_bound(
         iterates.append(nxt)
         rel = np.linalg.norm(nxt - current, "fro") / max(1.0, np.linalg.norm(current, "fro"))
         current = nxt
-        if float(np.trace(current)) > divergence_trace:
+        if float(np.trace(current)) > DIVERGENCE_TRACE:
             diverged = True
             break
         if rel < tol:
@@ -382,8 +372,6 @@ def noise_domination_check(
     outcomes,
     n_samples: int,
     rng: np.random.Generator,
-    distortion_rates=None,
-    eta=None,
 ) -> NoiseDominationReport:
     """Estimate Rdec + s E[v e^T + e v^T] through the actual encoder and check
     both dominations (blockwise middle term, and V S V) within 3-standard-error slack.
@@ -425,19 +413,15 @@ def noise_domination_check(
     slack = 3.0 * float(np.linalg.norm(se, 2))
 
     s_abs = abs(s)
-    dn_all = np.array([
-        default_distortion_rate(sn, sigma, codecs[i].delta, s)
-        if distortion_rates is None else float(np.atleast_1d(distortion_rates)[i])
-        for i, sn in enumerate(sensors)
-    ])
-    eta_all = (np.array([default_eta(d, s) for d in dn_all])
-               if eta is None else np.atleast_1d(np.asarray(eta, dtype=float)))
+    dn_all = np.array([default_distortion_rate(sn, sigma, cd.delta, s)
+                       for sn, cd in zip(sensors, codecs)])
+    eta_all = np.array([default_eta(d, s) for d in dn_all])
     coef = gam ** 2 * (s * s * dn_all + s_abs * eta_all + dn_all / (s_abs * eta_all))
     mid = block_diag([c * (sn.C @ sigma @ sn.C.T + sn.r_eff) for c, sn in zip(coef, sensors)])
 
     c_gam = np.vstack([gam[i] * sensors[i].C for i in range(len(sensors))])
     r_gam = block_diag([g ** 2 * sn.r_eff for g, sn in zip(gam, sensors)])
-    v_mat = _inflation_diag(dn_all, eta_all, s, dims)
+    v_mat = _inflation_diag(dn_all, s, dims)
     right = v_mat @ symmetrize(c_gam @ sigma @ c_gam.T + r_gam) @ v_mat
 
     margin_mid = float(np.linalg.eigvalsh(symmetrize(mid - lhs))[0])

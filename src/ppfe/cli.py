@@ -33,17 +33,18 @@ def _default_seed() -> int:
 def _add_scenario_args(p: argparse.ArgumentParser) -> None:
     p.add_argument("--preset", help="named scenario preset (e.g. three-tank-groupA1)")
     p.add_argument("--scenario", help="path to a scenario configuration file (JSON)")
-    p.add_argument("--seed", type=int, default=None,
-                   help="master seed (default: $PPFE_SEED or 0)")
     p.add_argument("--horizon", type=int, default=None, help="override the horizon")
     p.add_argument("--trials", type=int, default=None, help="override the trial count")
     p.add_argument("--workers", type=int, default=1, help="worker processes for trials")
     p.add_argument("--out", default=".", help="output directory")
-    p.add_argument("--tol", type=float, default=1e-10, help="bound convergence tolerance")
 
 
-def _resolve_scenario(args):
-    """Scenario from --preset/--scenario plus flag overrides; config faults are usage errors."""
+def _resolve_scenario(args, bound: bool = False):
+    """Scenario from --preset/--scenario plus flag overrides; config faults are usage errors.
+
+    With `bound`, the scenario's bound parameters are built here too, so a
+    sensor the bound cannot whiten fails before any trial runs.
+    """
     from dataclasses import replace
 
     if bool(args.preset) == bool(args.scenario):
@@ -71,7 +72,10 @@ def _resolve_scenario(args):
     if args.workers < 1:
         raise UsageError("--workers must be >= 1")
     try:
-        return replace(scenario, **overrides) if overrides else scenario
+        scenario = replace(scenario, **overrides) if overrides else scenario
+        if bound:
+            scenario.bound_params
+        return scenario
     except ValueError as exc:
         raise UsageError(f"bad scenario configuration: {exc}") from exc
 
@@ -83,7 +87,7 @@ def _outdir(args) -> Path:
 
 
 def cmd_simulate(args) -> int:
-    scenario = _resolve_scenario(args)
+    scenario = _resolve_scenario(args, bound=True)
     out = _outdir(args)
     result = run_monte_carlo(scenario, workers=args.workers, compute_bound_trace=True)
     write_mse_csv(result, out / "mse.csv")
@@ -99,20 +103,19 @@ def cmd_simulate(args) -> int:
 
 
 def cmd_bound(args) -> int:
-    scenario = _resolve_scenario(args)
+    scenario = _resolve_scenario(args, bound=True)
     out = _outdir(args)
     # the verdict needs room to settle past the scenario horizon
     budget = max(scenario.horizon - 1, 10_000)
     seq, _trace = compute_bound(scenario, tol=args.tol, max_steps=budget)
-    lines = ["k,trace_bound"]
-    for j, v in enumerate(seq.iterates):
-        lines.append(f"{j + 1},{fmt17(np.trace(v))}")
+    traces = seq.trace()
+    lines = ["k,trace_bound", *(f"{j + 1},{fmt17(t)}" for j, t in enumerate(traces))]
     with open(out / "bound.csv", "w", newline="\n") as fh:
         fh.write("\n".join(lines) + "\n")
     summary = {
         "verdict": seq.verdict,
         "steps": len(seq.iterates),
-        "final_trace": float(np.trace(seq.iterates[-1])),
+        "final_trace": float(traces[-1]),
         "degenerate_steps": seq.degenerate_steps,
     }
     with open(out / "bound_summary.json", "w", newline="\n") as fh:
@@ -185,8 +188,13 @@ def build_parser() -> argparse.ArgumentParser:
         ("quantizer-test", cmd_quantizer_test, "run the quantizer statistical suite"),
     ):
         p = sub.add_parser(name, help=doc)
-        _add_scenario_args(p)
         p.set_defaults(func=func)
+        p.add_argument("--seed", type=int, default=None,
+                       help="master seed (default: $PPFE_SEED or 0)")
+        if name != "quantizer-test":
+            _add_scenario_args(p)
+        if name == "bound":
+            p.add_argument("--tol", type=float, default=1e-10, help="bound convergence tolerance")
     return parser
 
 

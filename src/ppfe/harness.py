@@ -8,6 +8,7 @@ from __future__ import annotations
 import json
 import math
 from dataclasses import dataclass, field, replace
+from functools import cached_property
 from itertools import repeat
 
 import numpy as np
@@ -90,6 +91,13 @@ class Scenario:
     @property
     def n_channels(self) -> int:
         return len(self.sensors)
+
+    @cached_property
+    def bound_params(self) -> BoundParams:
+        """Analysis-side parameters with lossless links capped. Built on first use, not
+        with the scenario: the block engine runs sensors the bound cannot whiten."""
+        return BoundParams(A=self.model.A, qeff=self.model.qeff, sensors=self.sensors,
+                           gamma_bar=cap_gamma(self.gamma_bar), s=self.s, delta=self.delta)
 
 
 _TANK_GAMMA = (0.9, 0.95, 0.85)
@@ -363,19 +371,7 @@ class RunResult:
     scenario_name: str = ""
 
 
-def bound_params_for(scenario: Scenario) -> BoundParams:
-    """Analysis-side parameters for a scenario; lossless links are capped."""
-    return BoundParams(
-        A=scenario.model.A,
-        qeff=scenario.model.qeff,
-        sensors=scenario.sensors,
-        gamma_bar=cap_gamma(scenario.gamma_bar),
-        s=scenario.s,
-        delta=scenario.delta,
-    )
-
-
-def compute_bound(scenario: Scenario, recompute: bool = True, tol: float = 1e-10,
+def compute_bound(scenario: Scenario, tol: float = 1e-10,
                   max_steps: int | None = None) -> tuple[BoundSequence, np.ndarray]:
     """Bound iterates for a scenario plus the length-horizon trace series.
 
@@ -384,17 +380,15 @@ def compute_bound(scenario: Scenario, recompute: bool = True, tol: float = 1e-10
     last iterate after convergence. `max_steps` defaults to the horizon; a
     larger budget lets the fixed-point verdict settle past the horizon.
     """
-    params = bound_params_for(scenario)
     model = scenario.model
     v1 = model.A @ model.P0 @ model.A.T + model.qeff
     if max_steps is None:
         max_steps = max(scenario.horizon - 1, 1)
-    seq = iterate_bound(v1, params, max_steps=max_steps, recompute=recompute, tol=tol)
+    seq = iterate_bound(v1, scenario.bound_params, max_steps=max_steps, tol=tol)
     traces = seq.trace()
     out = np.empty(scenario.horizon)
     out[0] = float(np.trace(model.P0))
-    for k in range(1, scenario.horizon):
-        out[k] = traces[min(k - 1, traces.size - 1)]
+    out[1:] = traces[np.minimum(np.arange(scenario.horizon - 1), traces.size - 1)]
     return seq, out
 
 
@@ -413,8 +407,8 @@ def _blocks(scenario: Scenario, workers: int):
             yield run_block(scenario, lo, hi)
 
 
-def run_monte_carlo(scenario: Scenario, workers: int = 1, compute_bound_trace: bool = False,
-                    bound_recompute: bool = True) -> RunResult:
+def run_monte_carlo(scenario: Scenario, workers: int = 1,
+                    compute_bound_trace: bool = False) -> RunResult:
     """Block-parallel execution over fixed blocks of BLOCK_TRIALS trials;
     results are folded in trial order, so they are bitwise independent of
     the worker count."""
@@ -449,7 +443,7 @@ def run_monte_carlo(scenario: Scenario, workers: int = 1, compute_bound_trace: b
 
     bound_seq = bound_trace = None
     if compute_bound_trace:
-        bound_seq, bound_trace = compute_bound(scenario, recompute=bound_recompute)
+        bound_seq, bound_trace = compute_bound(scenario)
 
     return RunResult(
         mse_legit=mse_legit,

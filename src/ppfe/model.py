@@ -1,7 +1,7 @@
 """Linear multi-sensor plant: model types, presets, seeded trajectory generation."""
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import NamedTuple
 
 import numpy as np
@@ -146,11 +146,16 @@ class SystemModel:
 
 @dataclass(frozen=True)
 class SensorModel:
-    """Sensor y_i = C_i x + E_i v_i with v_i ~ N(0, R_i), R_i positive definite."""
+    """Sensor y_i = C_i x + E_i v_i with v_i ~ N(0, R_i), R_i positive definite.
+
+    `r_eff` = E R E^T, the covariance of the noise as it enters the
+    measurement, is built once; it is singular when E has fewer columns than rows.
+    """
 
     C: np.ndarray
     R: np.ndarray
     E: np.ndarray | None = None
+    r_eff: np.ndarray = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         C = _matrix(self.C, "C")
@@ -166,7 +171,7 @@ class SensorModel:
             raise ValueError(f"R must be {d_v}x{d_v} to match E, got {R.shape}")
         if float(np.linalg.eigvalsh(R)[0]) <= 0.0:
             raise ValueError("R must be positive definite")
-        for name, val in (("C", C), ("E", E), ("R", R)):
+        for name, val in (("C", C), ("E", E), ("R", R), ("r_eff", symmetrize(E @ R @ E.T))):
             object.__setattr__(self, name, _lock(val))
 
     @property
@@ -176,11 +181,6 @@ class SensorModel:
     @property
     def d_v(self) -> int:
         return self.E.shape[1]
-
-    @property
-    def r_eff(self) -> np.ndarray:
-        """Covariance E R E^T of the noise as it enters the measurement."""
-        return symmetrize(self.E @ self.R @ self.E.T)
 
 
 class Trajectory(NamedTuple):

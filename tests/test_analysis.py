@@ -3,10 +3,11 @@ import warnings
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from ppfe.analysis import (BoundParams, cap_gamma, capacity_condition,
                            check_stability_inequality, default_distortion_rate,
-                           default_eta, whitened_stack, hadamard_weight, iterate_bound,
+                           default_eta, hadamard_weight, iterate_bound,
                            gain_floor, noise_domination_check, mahler_entropy, riccati_map,
                            pbh_unit_circle, noise_inflation_matrix, retention_scalar)
 from ppfe.codec import CodecParams
@@ -184,6 +185,41 @@ def test_riccati_map_concave_along_lines():
             assert np.linalg.eigvalsh(mid - chord)[0] >= -1e-9 * max(1.0, np.trace(x + y))
 
 
+@settings(max_examples=50, deadline=None)
+@given(seed=st.integers(0, 2 ** 32 - 1), d=st.integers(1, 4),
+       gammas=st.lists(st.floats(0.5, 1.0, exclude_min=True, exclude_max=True),
+                       min_size=1, max_size=4),
+       w=st.floats(0.0, 1.0))
+def test_riccati_map_random_plants_match_formula(seed, d, gammas, w):
+    # A X A^T + Q - A X H^T [M ∘ (H X H^T + I)]^{-1} H X A^T, with H and M
+    # built here from the sensors and gamma, not read from BoundParams
+    rng = np.random.default_rng(seed)
+    sensors = []
+    for _ in gammas:
+        dy = int(rng.integers(1, min(d, 2) + 1))
+        r = rng.normal(0, 1, (dy, dy))
+        sensors.append(SensorModel(C=rng.normal(0, 1, (dy, d)), R=r @ r.T + 0.3 * np.eye(dy)))
+    g = cap_gamma(gammas)
+    a = rng.normal(0, 1, (d, d))
+    mq, mx = rng.normal(0, 1, (2, d, d))
+    q, x = mq @ mq.T, mx @ mx.T
+    params = BoundParams(A=a, qeff=q, sensors=sensors, gamma_bar=g, s=1.0)
+
+    blocks = []
+    for sn in sensors:
+        lam, u = np.linalg.eigh(sn.R)
+        blocks.append(u @ np.diag(lam ** -0.5) @ u.T @ sn.C)
+    h = w * np.vstack(blocks)
+    ch = np.concatenate([[i] * sn.d_y for i, sn in enumerate(sensors)])
+    m = np.where(ch[:, None] == ch[None, :], 1.0 / g[ch][:, None], 1.0)
+    inner = m * (h @ x @ h.T + np.eye(ch.size))
+    want = a @ x @ a.T + q - a @ x @ h.T @ np.linalg.inv(inner) @ h @ x @ a.T
+
+    got = riccati_map(x, params, w=w)
+    scale = np.linalg.norm(a @ x @ a.T) + np.linalg.norm(q)
+    assert np.linalg.norm(got - want) <= 1e-9 * scale
+
+
 def test_hadamard_weight_layout():
     w = hadamard_weight([0.5, 0.8], (1, 2))
     assert w[0, 0] == pytest.approx(2.0)
@@ -305,7 +341,7 @@ def test_stability_inequality_scalar_fixed_point_gain_passes():
     params = scalar_params(0.9, distortion_rates=[1e-12])
     seq = iterate_bound(np.array([[1.0]]), params, 4000, recompute=False)
     x = seq.fixed_point[0, 0]
-    h = whitened_stack(params.sensors, 1.0)
+    h = params.whitened
     # Riccati gain normalized by the Hadamard-weighted inner matrix
     w_had = hadamard_weight(params.gamma_bar, (1,))
     inner = w_had * (h @ seq.fixed_point @ h.T + np.eye(1))
@@ -411,5 +447,16 @@ def test_bound_params_validation():
     with pytest.raises(ValueError):
         BoundParams(A=np.eye(1), qeff=np.eye(1), sensors=(sensor,),
                     gamma_bar=[0.5], s=1.0, distortion_rates=[1.5])
+    with pytest.raises(ValueError, match="delta must have one entry per sensor"):
+        BoundParams(A=np.eye(1), qeff=np.eye(1), sensors=(sensor,),
+                    gamma_bar=[0.5], s=1.0, delta=[0.01, 0.5, 7.0])
+    with pytest.raises(ValueError, match="distortion_rates must have one entry per sensor"):
+        BoundParams(A=np.eye(1), qeff=np.eye(1), sensors=(sensor, sensor),
+                    gamma_bar=[0.5, 0.5], s=1.0, distortion_rates=[0.01])
+    plain = SensorModel(C=[[1.0, 0.0]], R=[[1.0]])
+    singular = SensorModel(C=np.eye(2), R=[[0.5]], E=[[1.0], [1.0]])  # E R E^T has rank 1
+    with pytest.raises(ValueError, match="sensor 1: effective noise"):
+        BoundParams(A=np.eye(2), qeff=np.eye(2), sensors=(plain, singular),
+                    gamma_bar=[0.5, 0.5], s=1.0)
     capped = cap_gamma([1.0, 0.3])
     assert capped[0] == pytest.approx(1.0 - 1e-9) and capped[1] == 0.3

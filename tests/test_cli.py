@@ -128,10 +128,20 @@ def test_conditions_weak_channel_fails(tmp_path, scalar_scenario_file):
     assert report["capacity"]["satisfied"] is False
 
 
-def test_quantizer_test_passes(tmp_path):
-    proc = run_cli("quantizer-test", "--out", str(tmp_path))
+def test_quantizer_test_passes():
+    proc = run_cli("quantizer-test")
     assert proc.returncode == 0, proc.stderr
     assert "FAIL" not in proc.stdout
+
+
+@pytest.mark.parametrize("args", [("simulate", "--preset", "three-tank-groupA1", "--tol", "1e-3"),
+                                  ("conditions", "--preset", "three-tank-groupA1", "--tol", "1e-3"),
+                                  ("quantizer-test", "--workers", "0")])
+def test_flags_a_command_does_not_read_are_usage_errors(tmp_path, args):
+    proc = run_cli(*args, "--out", str(tmp_path))
+    assert proc.returncode == 2
+    assert "unrecognized arguments" in proc.stderr
+    assert not any(tmp_path.iterdir())
 
 
 def test_env_seed_default(tmp_path):
@@ -213,6 +223,25 @@ def test_unknown_nested_key_is_usage_error(tmp_path, where, key):
                    "--out", str(tmp_path / "out"))
     assert proc.returncode == 2, proc.stderr
     assert f"'{key}'" in proc.stderr and len(proc.stderr.strip().splitlines()) == 1
+
+
+@pytest.mark.parametrize("command", ["simulate", "bound"])
+def test_singular_effective_noise_is_usage_error(tmp_path, command):
+    # E is 2x1, so E R E^T is singular: the block engine runs such a sensor,
+    # but the bound cannot whiten it, so the command stops before any trial
+    cfg = scalar_config()
+    cfg["model"].update(A=[[0.9, 0.1], [0.0, 0.8]], Q=[[0.04, 0.0], [0.0, 0.04]],
+                        x0_mean=[0.0, 0.0], P0=[[1.0, 0.0], [0.0, 1.0]])
+    cfg["model"]["sensors"] = [{"C": [[1.0, 0.0]], "R": [[0.09]]},
+                               {"C": [[1.0, 0.0], [0.0, 1.0]], "R": [[0.5]], "E": [[1.0], [1.0]]}]
+    cfg.update(channel={"gamma": [0.9, 0.9], "gamma_eve": [0.8, 0.8]},
+               codec={"a": [2.0, 2.0], "delta": [0.01, 0.01], "s": 1.0})
+    out = tmp_path / "out"
+    proc = run_cli(command, "--scenario", write_scenario(tmp_path, cfg), "--out", str(out))
+    assert proc.returncode == 2, proc.stderr
+    assert len(proc.stderr.strip().splitlines()) == 1
+    assert "sensor 1: effective noise E R E^T must be positive definite" in proc.stderr
+    assert not out.exists()
 
 
 @pytest.mark.parametrize("command", ["simulate", "bound"])

@@ -259,6 +259,19 @@ def test_compute_bound_three_tank_converges():
     assert np.all(np.isfinite(trace))
 
 
+@pytest.mark.parametrize("preset, steps, degenerate, final_trace", [
+    ("three-tank-groupA1", 1619, 1591, 7.506615807397999e-05),
+    ("three-tank-groupD3", 160, 0, 9.326976187039234e-06),
+])
+def test_compute_bound_three_tank_verdicts_pinned(preset, steps, degenerate, final_trace):
+    # the verdicts `ppfe bound --tol 1e-10` reports, with its 10 000-iterate budget
+    seq, _trace = compute_bound(scenario_preset(preset), tol=1e-10, max_steps=10_000)
+    assert seq.verdict == "converged"
+    assert len(seq.iterates) == steps
+    assert seq.degenerate_steps == degenerate
+    assert seq.trace()[-1] == pytest.approx(final_trace, rel=1e-9, abs=0.0)
+
+
 # ---------------------------------------------------------------- presets and config
 
 def test_scenario_presets_cover_groups():
