@@ -10,11 +10,10 @@ and empirical secrecy verdicts.
 """
 
 from .analysis import (BoundParams, BoundSequence, capacity_condition,
-                       check_stability_inequality, default_distortion_rate,
-                       default_eta, gain_floor, hadamard_weight, iterate_bound,
-                       mahler_entropy, noise_domination_check,
-                       noise_inflation_matrix, pbh_unit_circle, retention_scalar,
-                       riccati_map)
+                       check_stability_inequality, distortion_rates, gain_floor,
+                       hadamard_weight, inflation_diag, iterate_bound,
+                       mahler_entropy, noise_domination_check, pbh_unit_circle,
+                       retention_scalar, riccati_map)
 from .channel import (ChannelModel, OutcomeTrace, channel_capacity, sample_outcomes,
                       total_capacity)
 from .codec import (CodecOverflowError, CodecParams, CodecState, EncodedPacket,

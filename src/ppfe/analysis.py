@@ -29,8 +29,9 @@ class BoundParams:
 
     `delta` holds the codec quantization steps (used when distortion rates are
     refreshed from the running iterate); `distortion_rates` holds fixed rates
-    for the fixed-parameter mode. The matrices that depend only on the sensors
-    and `gamma_bar` are built once here: the stacked C, the block-diagonal
+    for the fixed-parameter mode. What depends only on the sensors and
+    `gamma_bar` is built once here: the per-channel output dimensions, the
+    sensors grouped by output dimension, the stacked C, the block-diagonal
     effective R, the whitened stack of R_i^{-1/2} C_i and the Hadamard weight.
     """
 
@@ -41,6 +42,8 @@ class BoundParams:
     s: float
     delta: np.ndarray | None = None
     distortion_rates: np.ndarray | None = None
+    dims: tuple[int, ...] = field(init=False, repr=False, compare=False)
+    groups: tuple = field(init=False, repr=False, compare=False)
     c_stack: np.ndarray = field(init=False, repr=False, compare=False)
     r_block: np.ndarray = field(init=False, repr=False, compare=False)
     whitened: np.ndarray = field(init=False, repr=False, compare=False)
@@ -49,14 +52,18 @@ class BoundParams:
     def __post_init__(self):
         m = len(self.sensors)
         g = np.atleast_1d(np.asarray(self.gamma_bar, dtype=float))
-        if np.any(g <= 0.0) or np.any(g > GAMMA_CAP):
+        if not np.all((g > 0.0) & (g <= GAMMA_CAP)):
             raise ValueError("gamma_bar entries must lie in (0, 1-1e-9]; cap lossless links first")
         if g.size != m:
             raise ValueError("need one reception probability per sensor")
-        if self.s == 0.0:
-            raise ValueError("scale s must be nonzero")
-        object.__setattr__(self, "A", np.asarray(self.A, dtype=float))
-        object.__setattr__(self, "qeff", symmetrize(np.asarray(self.qeff, dtype=float)))
+        if self.s == 0.0 or not math.isfinite(self.s):
+            raise ValueError("scale s must be finite and nonzero")
+        a = np.asarray(self.A, dtype=float)
+        q = np.asarray(self.qeff, dtype=float)
+        if not (np.all(np.isfinite(a)) and np.all(np.isfinite(q))):
+            raise ValueError("A and qeff must be finite")
+        object.__setattr__(self, "A", a)
+        object.__setattr__(self, "qeff", symmetrize(q))
         object.__setattr__(self, "sensors", tuple(self.sensors))
         object.__setattr__(self, "gamma_bar", g)
         for label in ("delta", "distortion_rates"):
@@ -65,30 +72,33 @@ class BoundParams:
                 if v.size != m:
                     raise ValueError(f"{label} must have one entry per sensor ({m})")
                 object.__setattr__(self, label, v)
+        if self.delta is not None and not np.all(np.isfinite(self.delta) & (self.delta > 0.0)):
+            raise ValueError("delta entries must be finite and positive")
         dn = self.distortion_rates
-        if dn is not None and (np.any(dn <= 0.0) or np.any(dn >= 1.0)):
+        if dn is not None and not np.all((dn > 0.0) & (dn < 1.0)):
             raise ValueError("distortion rates must lie in (0, 1)")
         c_stack, r_block, dims = stack_sensors(self.sensors)
         whitened = np.vstack([_r_inv_sqrt(sn.r_eff, i) @ sn.C for i, sn in enumerate(self.sensors)])
-        for name, val in (("c_stack", c_stack), ("r_block", r_block), ("whitened", whitened),
-                          ("weight", hadamard_weight(g, dims))):
+        groups = _sensor_groups(self.sensors)
+        for val in (c_stack, r_block, whitened, *(arr for grp in groups for arr in grp)):
             val.setflags(write=False)
+        for name, val in (("dims", dims), ("groups", groups), ("c_stack", c_stack),
+                          ("r_block", r_block), ("whitened", whitened),
+                          ("weight", hadamard_weight(g, dims))):
             object.__setattr__(self, name, val)
-
-    @property
-    def dims(self) -> tuple[int, ...]:
-        return tuple(s.d_y for s in self.sensors)
 
 
 @dataclass
 class BoundSequence:
     """Iterates of the covariance bound with their convergence verdict.
 
+    `traces` holds the trace of each iterate, recorded as the iteration ran;
     `degenerate_steps` counts the iterates whose retention scalar was 0, i.e.
     the steps that fell back to the prediction-only recursion.
     """
 
     iterates: list[np.ndarray]
+    traces: np.ndarray
     converged: bool
     diverged: bool
     fixed_point: np.ndarray | None
@@ -99,23 +109,37 @@ class BoundSequence:
         return "diverged" if self.diverged else ("converged" if self.converged else "max-steps")
 
     def trace(self) -> np.ndarray:
-        return np.array([float(np.trace(v)) for v in self.iterates])
+        return self.traces
 
 
-def default_distortion_rate(sensor: SensorModel, sigma: np.ndarray, delta: float, s: float) -> float:
-    """Conservative rate d with s^2 E[ee^T] <= d (C Sigma C^T + R), from Var(e) <= delta^2/4."""
-    m = sensor.C @ symmetrize(np.asarray(sigma, dtype=float)) @ sensor.C.T + sensor.r_eff
-    lam = float(np.linalg.eigvalsh(m)[0])
-    if lam <= 0.0:
+def _sensor_groups(sensors) -> tuple:
+    """Sensors grouped by output dimension, in order of first appearance: per
+    group the sensor indices, the stacked C_i, their transposes and the
+    stacked effective R_i."""
+    groups = []
+    for d_y in dict.fromkeys(sn.d_y for sn in sensors):
+        idx = np.array([i for i, sn in enumerate(sensors) if sn.d_y == d_y])
+        c = np.stack([sensors[i].C for i in idx])
+        groups.append((idx, c, np.swapaxes(c, 1, 2), np.stack([sensors[i].r_eff for i in idx])))
+    return tuple(groups)
+
+
+def distortion_rates(sigma: np.ndarray, groups, delta: np.ndarray, s: float) -> np.ndarray:
+    """Conservative rates d_i with s^2 E[e_i e_i^T] <= d_i (C_i Sigma C_i^T + R_i),
+    from Var(e) <= delta_i^2/4, in sensor order and capped at 1 - 1e-6.
+
+    `sigma` must be symmetric; `groups` is `BoundParams.groups`. One batched
+    eigvalsh per output dimension gives each lambda_min(C_i Sigma C_i^T + R_i).
+    """
+    lam = np.empty(delta.size)
+    for idx, c, ct, r in groups:
+        lam[idx] = np.linalg.eigvalsh(c @ sigma @ ct + r)[:, 0]
+    if lam.min() <= 0.0:
         raise ValueError("innovation covariance must be positive definite")
-    return min(1.0 - 1e-6, (s * s) * (delta * delta / 4.0) / lam)
-
-
-def default_eta(rate: float, s: float) -> float:
-    """Minimizer of |s| eta + rate / (|s| eta) over eta > 0."""
-    if rate <= 0.0:
+    rates = np.minimum(1.0 - 1e-6, (s * s) * (delta * delta / 4.0) / lam)
+    if rates.min() <= 0.0:
         raise ValueError("distortion rate must be positive")
-    return math.sqrt(rate) / abs(s)
+    return rates
 
 
 def stack_sensors(sensors) -> tuple[np.ndarray, np.ndarray, tuple[int, ...]]:
@@ -124,41 +148,33 @@ def stack_sensors(sensors) -> tuple[np.ndarray, np.ndarray, tuple[int, ...]]:
     return np.vstack([s.C for s in sensors]), block_diag([s.r_eff for s in sensors]), dims
 
 
-def _inflation_diag(distortion_rates: np.ndarray, s: float, dims) -> np.ndarray:
+def inflation_diag(rates: np.ndarray, s: float, dims) -> np.ndarray:
+    """Diagonal of the block-diagonal inflation matrix V: per sensor
+    sqrt(s^2 d + |s| eta + d/(|s| eta)) at eta = sqrt(d)/|s|, where the last two
+    terms are smallest (2 sqrt(d)), repeated over the sensor's `dims` rows."""
     s_abs = abs(s)
-    eta = np.array([default_eta(d, s) for d in distortion_rates])
-    blocks = np.sqrt(s * s * distortion_rates + s_abs * eta + distortion_rates / (s_abs * eta))
-    return np.diag(np.repeat(blocks, dims))
+    eta = np.sqrt(rates) / s_abs
+    return np.repeat(np.sqrt(s * s * rates + s_abs * eta + rates / (s_abs * eta)), dims)
 
 
-def noise_inflation_matrix(params: BoundParams, distortion_rates=None) -> np.ndarray:
-    """Block-diagonal inflation with entries sqrt(s^2 d + |s| eta + d/(|s| eta)),
-    at eta = sqrt(d)/|s|, where the last two terms are smallest (2 sqrt(d)).
-
-    `distortion_rates` defaults to the fixed rates of `params`.
-    """
-    if distortion_rates is None:
-        distortion_rates = params.distortion_rates
-    return _inflation_diag(distortion_rates, params.s, params.dims)
-
-
-def retention_scalar(sigma_minus, c_stack, r_block, v_mat) -> float:
+def retention_scalar(sigma_minus, c_stack, r_block, v) -> float:
     """sqrt(lambda_min(S - V S V) / lambda_max(S)) for the stacked innovation
-    covariance S and the inflation matrix V.
+    covariance S = C Sigma C^T + R of a symmetric Sigma and V = diag(v).
 
     Degenerates to 0 when S - V S V is indefinite, i.e. the encoding noise
     overwhelms the innovation and the bound falls back to the prediction-only
-    recursion; `iterate_bound` counts these steps.
+    recursion; `iterate_bound` counts these steps. One eigvalsh call serves S
+    and S - V S V.
     """
-    s_mat = symmetrize(c_stack @ symmetrize(np.asarray(sigma_minus, dtype=float)) @ c_stack.T + r_block)
-    eig_s = np.linalg.eigvalsh(s_mat)
-    if eig_s[0] <= 0.0:
+    s_mat = symmetrize(c_stack @ sigma_minus @ c_stack.T + r_block)
+    vsv = (v[:, None] * s_mat) * v[None, :]
+    eig = np.linalg.eigvalsh(np.array((s_mat, symmetrize(s_mat - vsv))))
+    if eig[0, 0] <= 0.0:
         raise ValueError("stacked innovation covariance is singular")
-    diff = symmetrize(s_mat - v_mat @ s_mat @ v_mat)
-    lam = float(np.linalg.eigvalsh(diff)[0])
+    lam = float(eig[1, 0])
     if lam < 0.0:
         return 0.0
-    return math.sqrt(lam / float(eig_s[-1]))
+    return math.sqrt(lam / float(eig[0, -1]))
 
 
 def hadamard_weight(gamma_bar, dims) -> np.ndarray:
@@ -175,14 +191,17 @@ def _r_inv_sqrt(r: np.ndarray, sensor: int) -> np.ndarray:
 
 
 def riccati_map(x: np.ndarray, params: BoundParams, w: float) -> np.ndarray:
-    """One application of the lossy-channel Riccati map.
+    """One application of the lossy-channel Riccati map to a symmetric X.
 
     Maps X to A X A^T + Q - A X H^T [M ∘ (H X H^T + I)]^{-1} H X A^T, with H
     the whitened measurement stack scaled by the retention scalar w and M the
-    channel-wise Hadamard weight accounting for Bernoulli reception.
+    channel-wise Hadamard weight accounting for Bernoulli reception. At w = 0
+    the gain term is zero, and the map is A X A^T + Q without a solve.
     """
-    x = symmetrize(np.asarray(x, dtype=float))
+    x = np.asarray(x, dtype=float)
     a = params.A
+    if w == 0.0:
+        return symmetrize(a @ x @ a.T + params.qeff)
     h = params.whitened * w
     n = h.shape[0]
     inner = params.weight * (h @ x @ h.T + np.eye(n))
@@ -206,8 +225,10 @@ def iterate_bound(
     With `recompute`, the distortion rates and the retention scalar w are
     refreshed from the running iterate (which stands in for the prediction
     covariance they reference); otherwise the fixed distortion_rates of `params`
-    are used and w is frozen at its V_1 value. Convergence is declared at
-    relative Frobenius change < tol, divergence at trace > DIVERGENCE_TRACE.
+    are used and w is frozen at its V_1 value. V_1 is symmetrized and the map
+    returns symmetric iterates, so each step reads its iterate as it is.
+    Convergence is declared at relative Frobenius change < tol, divergence at a
+    trace above DIVERGENCE_TRACE or not finite.
     """
     if max_steps < 1:
         raise ValueError("max_steps must be >= 1")
@@ -216,27 +237,31 @@ def iterate_bound(
     if not recompute and params.distortion_rates is None:
         raise ValueError("fixed mode needs distortion rates in params.distortion_rates")
 
-    def step_w(v):
-        dn = np.array([default_distortion_rate(s, v, d, params.s)
-                       for s, d in zip(params.sensors, params.delta)]) if recompute else None
-        vm = noise_inflation_matrix(params, distortion_rates=dn)
-        return retention_scalar(v, params.c_stack, params.r_block, vm)
+    def step_w(x):
+        rates = (distortion_rates(x, params.groups, params.delta, params.s)
+                 if recompute else params.distortion_rates)
+        v = inflation_diag(rates, params.s, params.dims)
+        return retention_scalar(x, params.c_stack, params.r_block, v)
 
     current = symmetrize(np.asarray(v1, dtype=float))
     iterates = [current]
+    traces = [float(current.trace())]
     degenerate = 0
     converged = False
     diverged = False
-    frozen_w = None if recompute else step_w(current)
+    w = None if recompute else step_w(current)
     for _ in range(max_steps - 1):
-        w = step_w(current) if recompute else frozen_w
+        if recompute:
+            w = step_w(current)
         if w == 0.0:
             degenerate += 1
         nxt = riccati_map(current, params, w)
         iterates.append(nxt)
         rel = np.linalg.norm(nxt - current, "fro") / max(1.0, np.linalg.norm(current, "fro"))
         current = nxt
-        if float(np.trace(current)) > DIVERGENCE_TRACE:
+        tr = float(current.trace())
+        traces.append(tr)
+        if not tr <= DIVERGENCE_TRACE:
             diverged = True
             break
         if rel < tol:
@@ -244,6 +269,7 @@ def iterate_bound(
             break
     return BoundSequence(
         iterates=iterates,
+        traces=np.array(traces),
         converged=converged,
         diverged=diverged,
         fixed_point=iterates[-1] if converged else None,
@@ -412,17 +438,17 @@ def noise_domination_check(
     se = contrib.std(axis=0, ddof=1) / math.sqrt(n_samples)
     slack = 3.0 * float(np.linalg.norm(se, 2))
 
-    s_abs = abs(s)
-    dn_all = np.array([default_distortion_rate(sn, sigma, cd.delta, s)
-                       for sn, cd in zip(sensors, codecs)])
-    eta_all = np.array([default_eta(d, s) for d in dn_all])
-    coef = gam ** 2 * (s * s * dn_all + s_abs * eta_all + dn_all / (s_abs * eta_all))
-    mid = block_diag([c * (sn.C @ sigma @ sn.C.T + sn.r_eff) for c, sn in zip(coef, sensors)])
+    # the bound's own rates and inflation V; the blockwise middle term is
+    # diag(gam_i^2 V_i^2 (C_i Sigma C_i^T + R_i)), i.e. (Gam V) blockdiag(S_i) (Gam V)
+    deltas = np.array([cd.delta for cd in codecs])
+    v = inflation_diag(distortion_rates(sigma, _sensor_groups(sensors), deltas, s), s, dims)
+    gv = np.repeat(gam, dims) * v
+    s_blocks = block_diag([sn.C @ sigma @ sn.C.T + sn.r_eff for sn in sensors])
+    mid = (gv[:, None] * s_blocks) * gv[None, :]
 
     c_gam = np.vstack([gam[i] * sensors[i].C for i in range(len(sensors))])
     r_gam = block_diag([g ** 2 * sn.r_eff for g, sn in zip(gam, sensors)])
-    v_mat = _inflation_diag(dn_all, s, dims)
-    right = v_mat @ symmetrize(c_gam @ sigma @ c_gam.T + r_gam) @ v_mat
+    right = (v[:, None] * symmetrize(c_gam @ sigma @ c_gam.T + r_gam)) * v[None, :]
 
     margin_mid = float(np.linalg.eigvalsh(symmetrize(mid - lhs))[0])
     margin_right = float(np.linalg.eigvalsh(symmetrize(right - lhs))[0])

@@ -30,13 +30,16 @@ def _default_seed() -> int:
     return int(os.environ.get("PPFE_SEED", "0"))
 
 
-def _add_scenario_args(p: argparse.ArgumentParser) -> None:
-    p.add_argument("--preset", help="named scenario preset (e.g. three-tank-groupA1)")
-    p.add_argument("--scenario", help="path to a scenario configuration file (JSON)")
-    p.add_argument("--horizon", type=int, default=None, help="override the horizon")
-    p.add_argument("--trials", type=int, default=None, help="override the trial count")
-    p.add_argument("--workers", type=int, default=1, help="worker processes for trials")
-    p.add_argument("--out", default=".", help="output directory")
+# Flags beside --preset/--scenario/--out. Each command accepts only those it
+# lists in build_parser; every command carries all their defaults, which is
+# what `_resolve_scenario` reads for a flag the command does not take.
+_FLAGS = {
+    "--seed": dict(type=int, default=None, help="master seed (default: $PPFE_SEED or 0)"),
+    "--horizon": dict(type=int, default=None, help="override the horizon"),
+    "--trials": dict(type=int, default=None, help="override the trial count"),
+    "--workers": dict(type=int, default=1, help="worker processes for trials"),
+    "--tol": dict(type=float, default=1e-10, help="bound convergence tolerance"),
+}
 
 
 def _resolve_scenario(args, bound: bool = False):
@@ -181,20 +184,22 @@ def build_parser() -> argparse.ArgumentParser:
         description="Privacy-preserving fusion estimation: simulation and analysis toolkit",
     )
     sub = parser.add_subparsers(dest="command", required=True)
-    for name, func, doc in (
-        ("simulate", cmd_simulate, "run a Monte Carlo experiment and write mse/events/summary"),
-        ("bound", cmd_bound, "iterate the covariance bound and report its verdict"),
-        ("conditions", cmd_conditions, "capacity/entropy and unit-circle PBH reports"),
-        ("quantizer-test", cmd_quantizer_test, "run the quantizer statistical suite"),
+    for name, func, doc, flags in (
+        ("simulate", cmd_simulate, "run a Monte Carlo experiment and write mse/events/summary",
+         ("--seed", "--horizon", "--trials", "--workers")),
+        ("bound", cmd_bound, "iterate the covariance bound and report its verdict",
+         ("--horizon", "--trials", "--tol")),
+        ("conditions", cmd_conditions, "capacity/entropy and unit-circle PBH reports", ()),
+        ("quantizer-test", cmd_quantizer_test, "run the quantizer statistical suite", ("--seed",)),
     ):
         p = sub.add_parser(name, help=doc)
-        p.set_defaults(func=func)
-        p.add_argument("--seed", type=int, default=None,
-                       help="master seed (default: $PPFE_SEED or 0)")
+        p.set_defaults(func=func, **{f[2:]: spec["default"] for f, spec in _FLAGS.items()})
         if name != "quantizer-test":
-            _add_scenario_args(p)
-        if name == "bound":
-            p.add_argument("--tol", type=float, default=1e-10, help="bound convergence tolerance")
+            p.add_argument("--preset", help="named scenario preset (e.g. three-tank-groupA1)")
+            p.add_argument("--scenario", help="path to a scenario configuration file (JSON)")
+            p.add_argument("--out", default=".", help="output directory")
+        for flag in flags:
+            p.add_argument(flag, **_FLAGS[flag])
     return parser
 
 

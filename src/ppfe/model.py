@@ -11,7 +11,7 @@ PSD_EIG_TOL = 1e-10
 
 def symmetrize(m: np.ndarray) -> np.ndarray:
     """Symmetric part of a matrix, or of each matrix in a stack."""
-    return 0.5 * (m + np.swapaxes(m, -1, -2))
+    return 0.5 * (m + m.swapaxes(-1, -2))
 
 
 def block_diag(blocks, fill: float = 0.0) -> np.ndarray:

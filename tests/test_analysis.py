@@ -5,19 +5,28 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from ppfe.analysis import (BoundParams, cap_gamma, capacity_condition,
-                           check_stability_inequality, default_distortion_rate,
-                           default_eta, hadamard_weight, iterate_bound,
-                           gain_floor, noise_domination_check, mahler_entropy, riccati_map,
-                           pbh_unit_circle, noise_inflation_matrix, retention_scalar)
+from ppfe.analysis import (DIVERGENCE_TRACE, BoundParams, cap_gamma, capacity_condition,
+                           check_stability_inequality, distortion_rates, hadamard_weight,
+                           inflation_diag, iterate_bound, gain_floor, noise_domination_check,
+                           mahler_entropy, riccati_map, pbh_unit_circle, retention_scalar)
 from ppfe.codec import CodecParams
-from ppfe.model import SensorModel, three_tank_preset
+from ppfe.model import SensorModel, symmetrize, three_tank_preset
 
 
 def scalar_params(gamma, s=1.0, delta=None, distortion_rates=None, a=2.0):
     sensor = SensorModel(C=[[1.0]], R=[[1.0]])
     return BoundParams(A=[[a]], qeff=[[1.0]], sensors=(sensor,),
                        gamma_bar=[gamma], s=s, delta=delta, distortion_rates=distortion_rates)
+
+
+def scalar_rate(sensor, sigma, delta, s):
+    params = BoundParams(A=np.eye(1), qeff=np.eye(1), sensors=(sensor,),
+                         gamma_bar=[0.9], s=s, delta=[delta])
+    return distortion_rates(np.asarray(sigma, dtype=float), params.groups, params.delta, s)[0]
+
+
+def scalar_inflation(rate, s=1.0):
+    return inflation_diag(np.array([rate]), s, (1,))[0]
 
 
 def classical_scalar_g(x, a, q, gamma):
@@ -28,7 +37,7 @@ def classical_scalar_g(x, a, q, gamma):
 
 def test_distortion_rate_vanishes_with_step():
     sensor = SensorModel(C=[[1.0]], R=[[1.0]])
-    rates = [default_distortion_rate(sensor, np.eye(1), d, 1.0)
+    rates = [scalar_rate(sensor, np.eye(1), d, 1.0)
              for d in (0.1, 0.01, 0.001)]
     assert rates[0] > rates[1] > rates[2]
     assert rates[2] == pytest.approx(1.25e-7)
@@ -37,36 +46,64 @@ def test_distortion_rate_vanishes_with_step():
 def test_distortion_rate_scalar_formula():
     sensor = SensorModel(C=[[1.0]], R=[[1.0]])
     # s^2 (delta^2/4) / lambda_min(C Sigma C^T + R) = 0.01 / 2
-    assert default_distortion_rate(sensor, np.eye(1), 0.2, 1.0) == pytest.approx(0.005)
+    assert scalar_rate(sensor, np.eye(1), 0.2, 1.0) == pytest.approx(0.005)
 
 
 def test_distortion_rate_quadratic_in_s():
     sensor = SensorModel(C=[[1.0]], R=[[1.0]])
-    r1 = default_distortion_rate(sensor, np.eye(1), 0.1, 1.0)
-    r2 = default_distortion_rate(sensor, np.eye(1), 0.1, 2.0)
+    r1 = scalar_rate(sensor, np.eye(1), 0.1, 1.0)
+    r2 = scalar_rate(sensor, np.eye(1), 0.1, 2.0)
     assert r2 == pytest.approx(4.0 * r1)
 
 
 def test_distortion_rate_capped_below_one():
     sensor = SensorModel(C=[[1.0]], R=[[1e-8]])
-    assert default_distortion_rate(sensor, np.zeros((1, 1)), 1.0, 1.0) == 1.0 - 1e-6
+    assert scalar_rate(sensor, np.zeros((1, 1)), 1.0, 1.0) == 1.0 - 1e-6
+
+
+def test_distortion_rates_group_sensors_by_output_dimension():
+    # d_y 1, 2, 1: the two one-output sensors share a group but are not adjacent
+    sensors = (SensorModel(C=[[1.0, 0.5, 0.0]], R=[[0.3]]),
+               SensorModel(C=[[0.0, 1.0, 0.2], [0.4, 0.0, 1.0]], R=[[0.5, 0.1], [0.1, 0.4]]),
+               SensorModel(C=[[0.2, 0.0, 1.0]], R=[[0.7]]))
+    s = 2.0
+    params = BoundParams(A=np.eye(3), qeff=np.eye(3), sensors=sensors, gamma_bar=[0.9] * 3,
+                         s=s, delta=[0.3, 0.05, 0.1])
+    assert [grp[0].tolist() for grp in params.groups] == [[0, 2], [1]]
+    m = np.random.default_rng(11).normal(0, 1, (3, 3))
+    sigma = m @ m.T + np.eye(3)
+
+    want = [min(1.0 - 1e-6, (s * s) * (d * d / 4.0)
+                / float(np.linalg.eigvalsh(sn.C @ sigma @ sn.C.T + sn.r_eff)[0]))
+            for sn, d in zip(sensors, params.delta)]
+    got = distortion_rates(sigma, params.groups, params.delta, s)
+    assert got.tolist() == want
+    assert len(set(want)) == 3
+
+    entries = [math.sqrt(s * s * d + abs(s) * (math.sqrt(d) / abs(s))
+                         + d / (abs(s) * (math.sqrt(d) / abs(s)))) for d in want]
+    v = inflation_diag(got, s, params.dims)
+    assert v.tolist() == [entries[0], entries[1], entries[1], entries[2]]
+
+
+def test_distortion_rate_underflow_raises():
+    sensor = SensorModel(C=[[1.0]], R=[[1.0]])
+    with pytest.raises(ValueError, match="distortion rate must be positive"):
+        scalar_rate(sensor, np.eye(1), 1e-170, 1.0)
 
 
 # ---------------------------------------------------------------- V matrix
 
 def test_v_matrix_vanishes_with_distortion():
     # with the default eta the block is sqrt(d + 2 sqrt(d)): slow but monotone to 0
-    blocks = [noise_inflation_matrix(scalar_params(0.9, distortion_rates=[d]))[0, 0]
-              for d in (1e-4, 1e-8, 1e-16)]
+    blocks = [scalar_inflation(d) for d in (1e-4, 1e-8, 1e-16)]
     assert blocks[0] > blocks[1] > blocks[2]
     assert blocks[2] < 1e-3
 
 
 def test_v_matrix_block_value():
-    # s=1, distortion_rates=0.04, default eta = 0.2: sqrt(0.04 + 0.2 + 0.2)
-    params = scalar_params(0.9, distortion_rates=[0.04])
-    assert default_eta(0.04, 1.0) == pytest.approx(0.2)
-    assert noise_inflation_matrix(params)[0, 0] == pytest.approx(math.sqrt(0.44))
+    # s=1, distortion rate 0.04, eta = sqrt(0.04)/1 = 0.2: sqrt(0.04 + 0.2 + 0.2)
+    assert scalar_inflation(0.04) == pytest.approx(math.sqrt(0.44))
 
 
 def test_v_matrix_equal_channels_equal_blocks():
@@ -74,15 +111,12 @@ def test_v_matrix_equal_channels_equal_blocks():
     s2 = SensorModel(C=[[0.0, 1.0]], R=[[1.0]])
     params = BoundParams(A=np.eye(2), qeff=np.eye(2), sensors=(s1, s2),
                          gamma_bar=[0.8, 0.8], s=1.0, distortion_rates=[0.04, 0.04])
-    v = noise_inflation_matrix(params)
-    assert v[0, 0] == v[1, 1]
-    assert np.count_nonzero(v - np.diag(np.diag(v))) == 0
+    v = inflation_diag(params.distortion_rates, params.s, params.dims)
+    assert v.shape == (2,) and v[0] == v[1]
 
 
 def test_v_matrix_even_in_s():
-    pa = scalar_params(0.9, s=1.0, distortion_rates=[0.04])
-    pb = scalar_params(0.9, s=-1.0, distortion_rates=[0.04])
-    assert noise_inflation_matrix(pa)[0, 0] == pytest.approx(noise_inflation_matrix(pb)[0, 0])
+    assert scalar_inflation(0.04, s=1.0) == pytest.approx(scalar_inflation(0.04, s=-1.0))
 
 
 # ---------------------------------------------------------------- w scalar
@@ -93,11 +127,11 @@ def test_w_scalar_zero_v():
     sigma = np.eye(2)
     s_mat = c @ sigma @ c.T + r
     expect = math.sqrt(np.linalg.eigvalsh(s_mat)[0] / np.linalg.eigvalsh(s_mat)[-1])
-    assert retention_scalar(sigma, c, r, np.zeros((2, 2))) == pytest.approx(expect)
+    assert retention_scalar(sigma, c, r, np.zeros(2)) == pytest.approx(expect)
 
 
 def test_w_scalar_isotropic_S_gives_one():
-    assert retention_scalar(np.eye(2), np.eye(2), np.eye(2), np.zeros((2, 2))) == pytest.approx(1.0)
+    assert retention_scalar(np.eye(2), np.eye(2), np.eye(2), np.zeros(2)) == pytest.approx(1.0)
 
 
 def test_w_scalar_uniform_v_closed_form():
@@ -106,7 +140,7 @@ def test_w_scalar_uniform_v_closed_form():
     sigma = np.array([[1.0, 0.1], [0.1, 0.5]])
     s_mat = c @ sigma @ c.T + r
     v = 0.6
-    got = retention_scalar(sigma, c, r, v * np.eye(2))
+    got = retention_scalar(sigma, c, r, np.full(2, v))
     lam = np.linalg.eigvalsh(s_mat)
     assert got == pytest.approx(math.sqrt((1 - v * v) * lam[0] / lam[-1]))
 
@@ -115,7 +149,7 @@ def test_w_scalar_degenerate_warns_and_returns_zero():
     # degenerate steps are counted by iterate_bound, not warned about
     with warnings.catch_warnings():
         warnings.simplefilter("error")
-        got = retention_scalar(np.eye(1), np.eye(1), np.eye(1), np.array([[1.5]]))
+        got = retention_scalar(np.eye(1), np.eye(1), np.eye(1), np.array([1.5]))
     assert got == 0.0
 
 
@@ -265,6 +299,92 @@ def test_iterate_bound_stable_plant_converges_with_recompute():
     seq = iterate_bound(np.eye(2), params, 2000, recompute=True)
     assert seq.converged
     assert float(np.trace(seq.fixed_point)) < 1e3
+
+
+def test_iterate_bound_non_finite_trace_diverges():
+    # V_1 overflows when symmetrized; the next iterate is NaN and ends the iteration
+    params = scalar_params(0.9, distortion_rates=[1e-12])
+    with np.errstate(over="ignore", invalid="ignore"):
+        seq = iterate_bound(np.array([[1e308]]), params, 50, recompute=False)
+    assert seq.verdict == "diverged" and len(seq.iterates) == 2
+    assert math.isnan(seq.trace()[-1])
+
+
+def reference_bound(v1, params, max_steps, recompute, tol):
+    """The bound's per-step arithmetic before batching: per-sensor distortion
+    rates, a dense inflation matrix V, two eigvalsh calls for the retention
+    scalar, and the full gain solve at w = 0 too."""
+    s, s_abs = params.s, abs(params.s)
+
+    def step_w(x):
+        sym = symmetrize(x)
+        rates = params.distortion_rates
+        if recompute:
+            rates = np.array([
+                min(1.0 - 1e-6, (s * s) * (d * d / 4.0)
+                    / float(np.linalg.eigvalsh(sn.C @ sym @ sn.C.T + sn.r_eff)[0]))
+                for sn, d in zip(params.sensors, params.delta)])
+        eta = np.array([math.sqrt(d) / s_abs for d in rates])
+        v_mat = np.diag(np.repeat(np.sqrt(s * s * rates + s_abs * eta + rates / (s_abs * eta)),
+                                  params.dims))
+        s_mat = symmetrize(params.c_stack @ sym @ params.c_stack.T + params.r_block)
+        eig_s = np.linalg.eigvalsh(s_mat)
+        lam = float(np.linalg.eigvalsh(symmetrize(s_mat - v_mat @ s_mat @ v_mat))[0])
+        return 0.0 if lam < 0.0 else math.sqrt(lam / float(eig_s[-1]))
+
+    def g(x, w):
+        x = symmetrize(x)
+        a, h = params.A, params.whitened * w
+        inner = params.weight * (h @ x @ h.T + np.eye(h.shape[0]))
+        t1 = a @ x @ h.T
+        return symmetrize(a @ x @ a.T + params.qeff - t1 @ np.linalg.solve(inner, t1.T))
+
+    current = symmetrize(np.asarray(v1, dtype=float))
+    iterates, degenerate, verdict = [current], 0, "max-steps"
+    w = None if recompute else step_w(current)
+    for _ in range(max_steps - 1):
+        if recompute:
+            w = step_w(current)
+        degenerate += w == 0.0
+        nxt = g(current, w)
+        iterates.append(nxt)
+        rel = np.linalg.norm(nxt - current, "fro") / max(1.0, np.linalg.norm(current, "fro"))
+        current = nxt
+        if not float(np.trace(current)) <= DIVERGENCE_TRACE:
+            verdict = "diverged"
+            break
+        if rel < tol:
+            verdict = "converged"
+            break
+    return iterates, degenerate, verdict
+
+
+@settings(max_examples=50, deadline=None)
+@given(seed=st.integers(0, 2 ** 32 - 1), d=st.integers(1, 4),
+       gammas=st.lists(st.floats(0.5, 1.0, exclude_min=True, exclude_max=True),
+                       min_size=1, max_size=4),
+       s=st.sampled_from([-1.0, 0.5, 1.0, 2.0]), recompute=st.booleans())
+def test_iterate_bound_matches_per_sensor_reference(seed, d, gammas, s, recompute):
+    # the batched step must do the old step's floating-point work bit for bit
+    rng = np.random.default_rng(seed)
+    sensors = []
+    for _ in gammas:
+        dy = int(rng.integers(1, min(3, d) + 1))
+        r = rng.normal(0, 1, (dy, dy))
+        sensors.append(SensorModel(C=rng.normal(0, 1, (dy, d)), R=r @ r.T + 0.3 * np.eye(dy)))
+    mq, mv = rng.normal(0, 1, (2, d, d))
+    params = BoundParams(A=rng.normal(0, 0.8, (d, d)), qeff=mq @ mq.T + 0.01 * np.eye(d),
+                         sensors=sensors, gamma_bar=cap_gamma(gammas), s=s,
+                         delta=10.0 ** rng.uniform(-3.0, math.log10(3.0), len(gammas)),
+                         distortion_rates=rng.uniform(1e-6, 0.9, len(gammas)))
+    v1 = mv @ mv.T + np.eye(d)
+
+    seq = iterate_bound(v1, params, 150, recompute=recompute)
+    iterates, degenerate, verdict = reference_bound(v1, params, 150, recompute, 1e-10)
+    assert (seq.verdict, len(seq.iterates), seq.degenerate_steps) == \
+        (verdict, len(iterates), degenerate)
+    assert all(x.tobytes() == y.tobytes() for x, y in zip(seq.iterates, iterates))
+    assert seq.trace().tobytes() == np.array([np.trace(x) for x in iterates]).tobytes()
 
 
 def test_iterate_bound_requires_matching_mode_inputs():
@@ -458,5 +578,11 @@ def test_bound_params_validation():
     with pytest.raises(ValueError, match="sensor 1: effective noise"):
         BoundParams(A=np.eye(2), qeff=np.eye(2), sensors=(plain, singular),
                     gamma_bar=[0.5, 0.5], s=1.0)
+    base = dict(A=np.eye(1), qeff=np.eye(1), sensors=(sensor,), gamma_bar=[0.5], s=1.0)
+    for bad in ({"gamma_bar": [math.nan]}, {"s": math.nan}, {"s": math.inf},
+                {"delta": [math.nan]}, {"delta": [math.inf]}, {"delta": [-0.1]}, {"delta": [0.0]},
+                {"distortion_rates": [math.nan]}, {"A": [[math.inf]]}, {"qeff": [[math.nan]]}):
+        with pytest.raises(ValueError):
+            BoundParams(**{**base, **bad})
     capped = cap_gamma([1.0, 0.3])
     assert capped[0] == pytest.approx(1.0 - 1e-9) and capped[1] == 0.3

@@ -136,7 +136,13 @@ def test_quantizer_test_passes():
 
 @pytest.mark.parametrize("args", [("simulate", "--preset", "three-tank-groupA1", "--tol", "1e-3"),
                                   ("conditions", "--preset", "three-tank-groupA1", "--tol", "1e-3"),
-                                  ("quantizer-test", "--workers", "0")])
+                                  ("quantizer-test", "--workers", "0"),
+                                  ("conditions", "--preset", "three-tank-groupA1", "--trials", "5"),
+                                  ("conditions", "--preset", "three-tank-groupA1", "--workers", "3"),
+                                  ("conditions", "--preset", "three-tank-groupA1", "--horizon", "7"),
+                                  ("conditions", "--preset", "three-tank-groupA1", "--seed", "9"),
+                                  ("bound", "--preset", "three-tank-groupA1", "--seed", "9"),
+                                  ("bound", "--preset", "three-tank-groupA1", "--workers", "2")])
 def test_flags_a_command_does_not_read_are_usage_errors(tmp_path, args):
     proc = run_cli(*args, "--out", str(tmp_path))
     assert proc.returncode == 2
