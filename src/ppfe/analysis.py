@@ -108,9 +108,6 @@ class BoundSequence:
     def verdict(self) -> str:
         return "diverged" if self.diverged else ("converged" if self.converged else "max-steps")
 
-    def trace(self) -> np.ndarray:
-        return self.traces
-
 
 def _sensor_groups(sensors) -> tuple:
     """Sensors grouped by output dimension, in order of first appearance: per

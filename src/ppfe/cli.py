@@ -27,7 +27,11 @@ class UsageError(Exception):
 
 
 def _default_seed() -> int:
-    return int(os.environ.get("PPFE_SEED", "0"))
+    raw = os.environ.get("PPFE_SEED", "0")
+    try:
+        return int(raw)
+    except ValueError:
+        raise UsageError(f"PPFE_SEED must be an integer, got {raw!r}") from None
 
 
 # Flags beside --preset/--scenario/--out. Each command accepts only those it
@@ -54,7 +58,8 @@ def _resolve_scenario(args, bound: bool = False):
         raise UsageError("exactly one of --preset or --scenario is required")
     try:
         if args.preset:
-            scenario = scenario_preset(args.preset, seed=_default_seed())
+            seed = _default_seed() if args.seed is None else args.seed
+            scenario = scenario_preset(args.preset, seed=seed)
         else:
             scenario = load_scenario(args.scenario)
     except (ValueError, KeyError, TypeError, OSError, json.JSONDecodeError) as exc:
@@ -62,8 +67,6 @@ def _resolve_scenario(args, bound: bool = False):
     overrides = {}
     if args.seed is not None:
         overrides["seed"] = args.seed
-    elif args.preset and "PPFE_SEED" in os.environ:
-        overrides["seed"] = _default_seed()
     if args.horizon is not None:
         if args.horizon < 1:
             raise UsageError("--horizon must be >= 1")
@@ -111,14 +114,13 @@ def cmd_bound(args) -> int:
     # the verdict needs room to settle past the scenario horizon
     budget = max(scenario.horizon - 1, 10_000)
     seq, _trace = compute_bound(scenario, tol=args.tol, max_steps=budget)
-    traces = seq.trace()
-    lines = ["k,trace_bound", *(f"{j + 1},{fmt17(t)}" for j, t in enumerate(traces))]
+    lines = ["k,trace_bound", *(f"{j + 1},{fmt17(t)}" for j, t in enumerate(seq.traces))]
     with open(out / "bound.csv", "w", newline="\n") as fh:
         fh.write("\n".join(lines) + "\n")
     summary = {
         "verdict": seq.verdict,
         "steps": len(seq.iterates),
-        "final_trace": float(traces[-1]),
+        "final_trace": float(seq.traces[-1]),
         "degenerate_steps": seq.degenerate_steps,
     }
     with open(out / "bound_summary.json", "w", newline="\n") as fh:
@@ -156,7 +158,10 @@ def cmd_conditions(args) -> int:
 
 def cmd_quantizer_test(args) -> int:
     """Statistical suite for the probabilistic quantizer (mean, variance, lattice)."""
-    rng = np.random.default_rng(args.seed if args.seed is not None else _default_seed())
+    seed = args.seed if args.seed is not None else _default_seed()
+    if seed < 0:
+        raise UsageError(f"seed must be >= 0, got {seed}")
+    rng = np.random.default_rng(seed)
     delta = 0.01
     draws = 10 ** 6
     checks = []

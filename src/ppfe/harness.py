@@ -76,6 +76,8 @@ class Scenario:
             raise ValueError("horizon must be >= 1")
         if self.trials < 1:
             raise ValueError("trials must be >= 1")
+        if self.seed < 0:
+            raise ValueError(f"seed must be >= 0, got {self.seed}")
         if self.eve_reference_policy not in ("own", "legit-time"):
             raise ValueError("eve_reference_policy must be 'own' or 'legit-time'")
         if self.outcome_override is not None:
@@ -241,13 +243,19 @@ def run_block(scenario: Scenario, start: int, stop: int) -> BlockResult:
     decode -> both filters, each step one set of array operations over the block.
 
     Each trial draws its own (seed, role, trial) streams, each in one block
-    in the order a step-by-step draw would use. The encoder's reference
-    always equals the legitimate decoder's (the ACK mirrors it), so one copy
-    serves both. An eavesdropper saturates at the first step where a heard
-    packet's growth overflows, its decode error passes 1e15 or is not
-    finite, or its filtered error norm passes 1e15; divergence is the
-    finding, not a failure, so its filter just stops for that trial. A
-    failure of the legitimate path raises, naming the (seed, trial) pair.
+    in the order a step-by-step draw would use. Both parties run the same
+    decoder and filter, so the row arrays hold one row per (party, trial):
+    the block's B legitimate rows, then one eavesdropper row per trial whose
+    eavesdropper is still live. `tr` maps a row to its trial and `link` gives
+    it its reception trace (authorized for the legitimate rows, wiretap for
+    the others). The encoder's reference always equals the legitimate
+    decoder's (the ACK mirrors it), so the encoder reads the first B rows.
+    An eavesdropper saturates at the first step where a heard packet's growth
+    overflows, its decode error passes 1e15 or is not finite, or its
+    filtered error norm passes 1e15; divergence is the finding, not a
+    failure, so its row is dropped at that step. A failure of either filter,
+    or of the legitimate codec, raises, naming the party and the (seed,
+    trial) pair.
     """
     model, sensors, h, seed = scenario.model, scenario.sensors, scenario.horizon, scenario.seed
     trials = range(start, stop)
@@ -265,37 +273,34 @@ def run_block(scenario: Scenario, start: int, stop: int) -> BlockResult:
     else:
         traces = [sample_outcomes(scenario.channel, h, substream(seed, "channel", t))
                   for t in trials]
-    auth = np.stack([tr.auth for tr in traces]).astype(bool)   # (B, M, H)
-    wire = np.stack([tr.wire for tr in traces]).astype(bool)
-    events = [(t, i, k, wc) for t, tr in zip(trials, traces)
-              for (i, k, wc) in detect_critical_events(tr)]
+    events = [(t, i, k, wc) for t, trace in zip(trials, traces)
+              for (i, k, wc) in detect_critical_events(trace)]
     if not transparent:
         uniforms = np.stack([substream(seed, "quantizer", t).random((h, ch.size)) for t in trials])
 
-    def update(x, P, y, received, rows):
-        try:
-            return fusion.update(x, P, y, received, rdec)
-        except ConditioningError as exc:
-            raise ValueError(f"trial {trials[rows[exc.row]]} (seed {seed}): {exc}") from None
-
-    every = np.arange(b)
-    x, P = np.repeat(model.x0_mean[None], b, axis=0), np.repeat(model.P0[None], b, axis=0)
-    x_eve, P_eve = x.copy(), P.copy()
-    y_ref, t_ref = np.zeros((b, ch.size)), np.zeros(auth.shape[:2], dtype=int)
-    init = np.zeros(auth.shape[:2], dtype=bool)
-    y_eve, t_eve, init_eve = y_ref.copy(), t_ref.copy(), init.copy()
+    parties = ("auth", "wire") if scenario.track_eavesdropper else ("auth",)
+    link = np.stack([getattr(trace, p) for p in parties for trace in traces]).astype(bool)
+    tr = np.tile(np.arange(b), len(parties))                 # row -> trial of the block
+    x = np.repeat(model.x0_mean[None], tr.size, axis=0)
+    P = np.repeat(model.P0[None], tr.size, axis=0)
+    y_ref, t_ref = np.zeros((tr.size, ch.size)), np.zeros(link.shape[:2], dtype=int)
+    init = np.zeros(link.shape[:2], dtype=bool)
     legit_err, pred_err = np.empty((b, h, d)), np.empty((b, h, d))
     eve_err = np.full((b, h, d), np.nan)
     saturated_at = np.full(b, h)
-    alive = np.full(b, scenario.track_eavesdropper)
+    legit_time = scenario.eve_reference_policy == "legit-time"
     for k in range(h):
-        y, x_true = meas[:, k], states[:, k]
-        factor, overflow = growth_factors(a, k - t_ref[:, ch], init[:, ch])
-        if overflow.any():
-            row, comp = np.argwhere(overflow)[0]
+        y = meas[:, k]
+        eves = tr.size > b                   # some eavesdropper row is still live
+        # "legit-time": an eavesdropper grows its own reference value over the overheard
+        # ACK timing of its trial (before this step's ACK)
+        gap = k - (t_ref[tr] if legit_time else t_ref)[:, ch]
+        factor, overflow = growth_factors(a, gap, init[:, ch])
+        if overflow[:b].any():
+            row, comp = np.argwhere(overflow[:b])[0]
             raise CodecOverflowError(f"trial {trials[row]} (seed {seed}): reference growth "
                                      f"overflows at step {k} on channel {ch[comp]}")
-        pre = reference_residual(y, factor, y_ref, s)
+        pre = reference_residual(y, factor[:b], y_ref[:b], s)
         if transparent:
             z = pre
         else:
@@ -305,48 +310,40 @@ def run_block(scenario: Scenario, start: int, stop: int) -> BlockResult:
                                  f"quantizer input must be finite at step {k}")
             z = round_to_lattice(pre, delta, uniforms[:, k])
 
-        if alive.any():
-            heard = wire[:, :, k] & alive[:, None]
-            # "legit-time": overheard ACK timing (before this step's ACK), own reference value
-            t_src = t_ref if scenario.eve_reference_policy == "legit-time" else t_eve
-            factor_eve, overflow_eve = growth_factors(a, k - t_src[:, ch], init_eve[:, ch])
-            with np.errstate(over="ignore", invalid="ignore"):
-                ybar_eve = reconstruct(z, factor_eve, y_eve, s)
-                lost = overflow_eve | ~(np.abs(ybar_eve - y) <= EVE_SATURATION)
-            # a trial that loses any heard channel saturates at this step, whichever
-            # channel comes first, so all channels are decoded at once
-            died = (lost & heard[:, ch]).any(axis=1)
-            heard &= ~died[:, None]
-            y_eve = np.where(heard[:, ch], ybar_eve, y_eve)
-            t_eve[heard] = k
-            init_eve |= heard
-            saturated_at[died] = k
-            alive &= ~died
-
-        recv = auth[:, :, k]
-        ybar = reconstruct(z, factor, y_ref, s)
+        recv = link[:, :, k]
+        with np.errstate(over="ignore", invalid="ignore"):
+            ybar = reconstruct(z[tr], factor, y_ref, s)
+            if eves:
+                # an eavesdropper that loses any heard channel saturates at this step,
+                # whichever channel comes first, so all channels are decoded at once
+                lost = overflow | ~(np.abs(ybar - y[tr]) <= EVE_SATURATION)
+                died = (lost & recv[:, ch]).any(axis=1)
+                died[:b] = False
+                recv = recv & ~died[:, None]
         y_ref = np.where(recv[:, ch], ybar, y_ref)
         t_ref[recv] = k
         init |= recv
         if k > 0:
             x, P = fusion.predict(x, P, bu[k - 1])
-        pred_err[:, k] = x_true - x
-        x, P = update(x, P, ybar, recv, every)
-        legit_err[:, k] = x_true - x
-
-        live = np.flatnonzero(alive)
-        if live.size:
-            xl, Pl = x_eve[live], P_eve[live]
-            if k > 0:
-                xl, Pl = fusion.predict(xl, Pl, bu[k - 1])
-            xl, Pl = update(xl, Pl, ybar_eve[live], heard[live], live)
-            x_eve[live], P_eve[live] = xl, Pl
-            err = x_true[live] - xl
+        pred_err[:, k] = states[:, k] - x[:b]
+        try:
+            x, P = fusion.update(x, P, ybar, recv, rdec)
+        except ConditioningError as exc:
+            party = "eavesdropper" if exc.row >= b else "legitimate"
+            raise ValueError(f"trial {trials[tr[exc.row]]} (seed {seed}): {party} filter: "
+                             f"{exc}") from None
+        err = states[tr, k] - x
+        legit_err[:, k] = err[:b]
+        if eves:
             # the filter itself can blow up one step before the decode check trips
-            blown = np.linalg.norm(err, axis=1) > EVE_SATURATION
-            eve_err[live[~blown], k] = err[~blown]
-            saturated_at[live[blown]] = k
-            alive[live[blown]] = False
+            gone = died | (np.linalg.norm(err, axis=1) > EVE_SATURATION)
+            gone[:b] = False
+            if gone.any():
+                saturated_at[tr[gone]] = k
+                keep = ~gone
+                tr, link, x, P, y_ref, t_ref, init, err = (
+                    v[keep] for v in (tr, link, x, P, y_ref, t_ref, init, err))
+            eve_err[tr[b:], k] = err[b:]
 
     return BlockResult(legit_err=legit_err, pred_err=pred_err, eve_err=eve_err,
                        eve_saturated_at=saturated_at, events=events)
@@ -385,10 +382,9 @@ def compute_bound(scenario: Scenario, tol: float = 1e-10,
     if max_steps is None:
         max_steps = max(scenario.horizon - 1, 1)
     seq = iterate_bound(v1, scenario.bound_params, max_steps=max_steps, tol=tol)
-    traces = seq.trace()
     out = np.empty(scenario.horizon)
     out[0] = float(np.trace(model.P0))
-    out[1:] = traces[np.minimum(np.arange(scenario.horizon - 1), traces.size - 1)]
+    out[1:] = seq.traces[np.minimum(np.arange(scenario.horizon - 1), seq.traces.size - 1)]
     return seq, out
 
 

@@ -307,7 +307,7 @@ def test_iterate_bound_non_finite_trace_diverges():
     with np.errstate(over="ignore", invalid="ignore"):
         seq = iterate_bound(np.array([[1e308]]), params, 50, recompute=False)
     assert seq.verdict == "diverged" and len(seq.iterates) == 2
-    assert math.isnan(seq.trace()[-1])
+    assert math.isnan(seq.traces[-1])
 
 
 def reference_bound(v1, params, max_steps, recompute, tol):
@@ -384,7 +384,7 @@ def test_iterate_bound_matches_per_sensor_reference(seed, d, gammas, s, recomput
     assert (seq.verdict, len(seq.iterates), seq.degenerate_steps) == \
         (verdict, len(iterates), degenerate)
     assert all(x.tobytes() == y.tobytes() for x, y in zip(seq.iterates, iterates))
-    assert seq.trace().tobytes() == np.array([np.trace(x) for x in iterates]).tobytes()
+    assert seq.traces.tobytes() == np.array([np.trace(x) for x in iterates]).tobytes()
 
 
 def test_iterate_bound_requires_matching_mode_inputs():

@@ -204,6 +204,36 @@ def test_short_input_sequence_is_usage_error(tmp_path):
     assert proc.returncode == 2 and "input sequence u" in proc.stderr
 
 
+@pytest.mark.parametrize("args, env", [
+    (("simulate", "--preset", "three-tank-groupA1", "--seed", "-1"), None),
+    (("simulate", "--preset", "three-tank-groupA1"), {"PPFE_SEED": "-3"}),
+    (("simulate", "--preset", "three-tank-groupA1"), {"PPFE_SEED": "abc"}),
+    (("simulate", "--scenario", "seed-2.json"), None),
+    (("quantizer-test", "--seed", "-1"), None),
+    (("quantizer-test",), {"PPFE_SEED": "-3"}),
+    (("quantizer-test",), {"PPFE_SEED": "abc"}),
+], ids=["flag", "env", "env-text", "file", "qt-flag", "qt-env", "qt-env-text"])
+def test_bad_seed_is_usage_error(tmp_path, args, env):
+    # every route to a seed rejects a negative or non-integer one before any work
+    write_scenario(tmp_path, scalar_config(seed=-2))
+    args = [str(tmp_path / "scenario.json") if a == "seed-2.json" else a for a in args]
+    out = tmp_path / "out"
+    if args[0] == "simulate":
+        args += ["--out", str(out)]
+    proc = run_cli(*args, env_extra=env)
+    assert proc.returncode == 2, proc.stderr
+    lines = proc.stderr.strip().splitlines()
+    assert len(lines) == 1 and "seed" in lines[0].lower(), proc.stderr
+    assert not out.exists()
+
+
+def test_seed_flag_overrides_env_seed(tmp_path):
+    # $PPFE_SEED is only the default: --seed wins, so the variable is not read
+    proc = run_cli("simulate", "--preset", "three-tank-groupA1", "--seed", "5", "--horizon", "5",
+                   "--trials", "1", "--out", str(tmp_path), env_extra={"PPFE_SEED": "abc"})
+    assert proc.returncode == 0, proc.stderr
+
+
 def test_non_finite_codec_scale_is_usage_error(tmp_path):
     cfg = scalar_config(codec={"a": [2.0], "delta": [0.01], "s": float("nan")})
     proc = run_cli("simulate", "--scenario", write_scenario(tmp_path, cfg),

@@ -1,16 +1,18 @@
 import json
 import math
 import re
+from dataclasses import replace
 from pathlib import Path
 from types import SimpleNamespace
 
 import numpy as np
 import pytest
 
-from ppfe.channel import OutcomeTrace
-from ppfe.codec import CodecOverflowError, bootstrap_state, decode, eavesdrop_decode, encode
+from ppfe.channel import OutcomeTrace, sample_outcomes
+from ppfe.codec import (CodecOverflowError, ack, bootstrap_state, decode, eavesdrop_decode,
+                        encode)
 from ppfe.estimator import run_filter
-from ppfe.harness import (BLOCK_TRIALS, Scenario, build_worst_case, compute_bound,
+from ppfe.harness import (BLOCK_TRIALS, EVE_SATURATION, Scenario, build_worst_case, compute_bound,
                           detect_critical_events, run_block, run_monte_carlo,
                           scenario_from_dict, scenario_preset, secrecy_report,
                           write_events_csv, write_mse_csv)
@@ -155,6 +157,92 @@ def test_transparent_eavesdropper_decodes_without_noise():
                            rtol=1e-6, atol=1e-6)
 
 
+def reference_trial(sc, trial):
+    """Per-trial reference of `run_block` for both parties: the single-channel codec
+    API (encoder acknowledged by the legitimate decoder, eavesdropper decoding the
+    same packets) and the one-trial filter over each party's reception trace.
+    Returns the states, the legitimate errors, the eavesdropper's saturation step
+    and its errors before that step."""
+    traj = simulate_plant(sc.model, sc.sensors, sc.horizon, substream(sc.seed, "plant", trial))
+    links = sc.outcome_override
+    if links is None:
+        links = sample_outcomes(sc.channel, sc.horizon, substream(sc.seed, "channel", trial))
+    rng = substream(sc.seed, "quantizer", trial)
+    enc = [bootstrap_state(sn.d_y) for sn in sc.sensors]
+    legit, eve = list(enc), list(enc)
+    legit_dec, eve_dec = [], []
+    sat = sc.horizon
+    for k in range(sc.horizon):
+        legit_dec.append([None] * sc.n_channels)
+        eve_dec.append([None] * sc.n_channels)
+        for i, codec in enumerate(sc.codecs):
+            y = traj.measurements[i][k]
+            z = encode(enc[i], codec, y, k, rng).z
+            if links.wire[i, k] and sat == sc.horizon:
+                # "legit-time": the overheard ACK time before this step, own reference value
+                src = eve[i] if sc.eve_reference_policy == "own" else replace(
+                    eve[i], t_ref=legit[i].t_ref)
+                try:
+                    ybar, eve[i] = eavesdrop_decode(src, codec, z, k)
+                except CodecOverflowError:
+                    sat = k
+                else:
+                    eve_dec[k][i] = ybar
+                    if not np.abs(ybar - y).max() <= EVE_SATURATION:
+                        sat = k
+            if links.auth[i, k]:
+                legit_dec[k][i], legit[i] = decode(legit[i], codec, z, k)
+                enc[i] = ack(enc[i], legit_dec[k][i], k)
+    states = traj.states[:sc.horizon]
+    legit_x = run_filter(sc.model, sc.sensors, sc.codecs, links.auth, legit_dec).x[1::2]
+    eve_x = run_filter(sc.model, sc.sensors, sc.codecs, links.wire[:, :sat], eve_dec[:sat]).x[1::2]
+    eve_err = states[:sat] - eve_x
+    # the filter can blow up before a decode does
+    blown = np.flatnonzero(np.linalg.norm(eve_err, axis=1) > EVE_SATURATION)
+    if blown.size:
+        sat = int(blown[0])
+    return states, states - legit_x, sat, eve_err[:sat]
+
+
+@pytest.mark.parametrize("policy", ["own", "legit-time"])
+@pytest.mark.parametrize("a", [(0.5, 0.5, 5.0), (0.5, 0.5, 0.5)], ids=["A1", "nogrowth"])
+def test_block_matches_per_trial_reference_for_both_parties(a, policy):
+    # three quantized channels with drops on both links; on A1 the block's
+    # eavesdroppers saturate at different steps, on nogrowth never
+    sc = replace(scenario_preset("three-tank-groupA1", seed=11, horizon=60, trials=6),
+                 a=np.array(a), eve_reference_policy=policy)
+    block = run_block(sc, 0, sc.trials)
+    saturated = block.eve_saturated_at
+    if a[2] > 1.0:
+        assert (saturated < sc.horizon).all() and len(set(saturated.tolist())) > 3
+    else:
+        assert (saturated == sc.horizon).all()
+    for t in range(sc.trials):
+        states, legit_err, sat, eve_err = reference_trial(sc, t)
+        assert saturated[t] == sat
+        # an error is a difference of two estimates, so small ones are compared
+        # relative to the state's magnitude (the rounding of either estimate)
+        tol = dict(rtol=1e-12, atol=1e-12 * np.abs(states).max())
+        np.testing.assert_allclose(block.legit_err[t], legit_err, **tol)
+        np.testing.assert_allclose(block.eve_err[t, :sat], eve_err, **tol)
+        assert np.isnan(block.eve_err[t, sat:]).all()
+
+
+def test_eavesdropper_filter_blow_up_saturates():
+    # the wiretap delivers nothing, so no decode can trip: the eavesdropper's
+    # open-loop prediction of an unstable plant saturates on the filter check
+    h = 70
+    override = OutcomeTrace(auth=np.ones((1, h), dtype=int), wire=np.zeros((1, h), dtype=int))
+    model = SystemModel(A=[[2.0]], Q=[[0.04]], x0_mean=[0.0], P0=[[1.0]])
+    sc = scalar_scenario(model=model, outcome_override=override, horizon=h, trials=3)
+    block = run_block(sc, 0, sc.trials)
+    for t in range(sc.trials):
+        _states, _legit, sat, eve_err = reference_trial(sc, t)
+        assert sat < h and block.eve_saturated_at[t] == sat
+        np.testing.assert_allclose(block.eve_err[t, :sat], eve_err, rtol=1e-12)
+        assert np.isnan(block.eve_err[t, sat:]).all()
+
+
 # ---------------------------------------------------------------- monte carlo
 
 def test_monte_carlo_single_trial_equals_run_trial():
@@ -269,7 +357,7 @@ def test_compute_bound_three_tank_verdicts_pinned(preset, steps, degenerate, fin
     assert seq.verdict == "converged"
     assert len(seq.iterates) == steps
     assert seq.degenerate_steps == degenerate
-    assert seq.trace()[-1] == pytest.approx(final_trace, rel=1e-9, abs=0.0)
+    assert seq.traces[-1] == pytest.approx(final_trace, rel=1e-9, abs=0.0)
 
 
 # ---------------------------------------------------------------- presets and config
@@ -427,6 +515,19 @@ def test_ill_conditioned_trial_is_named():
     trial = int(re.search(r"trial (\d+)", str(info.value)).group(1))
     with pytest.raises(ValueError, match=rf"trial {trial} \(seed 123\)"):
         run_block(sc, trial, trial + 1)
+
+    # duplicate channels: the authorized link delivers channel 0 only, the wiretap
+    # both, so only the eavesdropper's innovation covariance is ill-conditioned
+    one, both = np.array([[1] * 5, [0] * 5]), np.ones((2, 5), dtype=int)
+    eve_sc = replace(sc, outcome_override=OutcomeTrace(auth=one, wire=both), trials=3, seed=1)
+    with pytest.raises(ValueError, match=r"trial 0 \(seed 1\): eavesdropper filter: "
+                                         r".*channels \(0, 1\)"):
+        run_monte_carlo(eve_sc)
+    assert np.isfinite(run_monte_carlo(replace(eve_sc, track_eavesdropper=False)).mse_legit).all()
+    legit_sc = replace(eve_sc, outcome_override=OutcomeTrace(auth=both, wire=one))
+    with pytest.raises(ValueError, match=r"trial 0 \(seed 1\): legitimate filter: "
+                                         r".*channels \(0, 1\)"):
+        run_monte_carlo(legit_sc)
 
 
 def test_legitimate_codec_overflow_names_trial():
