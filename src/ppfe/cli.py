@@ -26,7 +26,10 @@ class UsageError(Exception):
     pass
 
 
-def _default_seed() -> int:
+def _seed(args) -> int:
+    """--seed, else $PPFE_SEED, else 0; only the commands that take --seed read it."""
+    if args.seed is not None:
+        return args.seed
     raw = os.environ.get("PPFE_SEED", "0")
     try:
         return int(raw)
@@ -46,11 +49,12 @@ _FLAGS = {
 }
 
 
-def _resolve_scenario(args, bound: bool = False):
+def _resolve_scenario(args, bound: bool = False, seeded: bool = False):
     """Scenario from --preset/--scenario plus flag overrides; config faults are usage errors.
 
     With `bound`, the scenario's bound parameters are built here too, so a
-    sensor the bound cannot whiten fails before any trial runs.
+    sensor the bound cannot whiten fails before any trial runs. Only a
+    `seeded` command (one that takes --seed) reads $PPFE_SEED.
     """
     from dataclasses import replace
 
@@ -58,23 +62,13 @@ def _resolve_scenario(args, bound: bool = False):
         raise UsageError("exactly one of --preset or --scenario is required")
     try:
         if args.preset:
-            seed = _default_seed() if args.seed is None else args.seed
-            scenario = scenario_preset(args.preset, seed=seed)
+            scenario = scenario_preset(args.preset, seed=_seed(args) if seeded else 0)
         else:
             scenario = load_scenario(args.scenario)
     except (ValueError, KeyError, TypeError, OSError, json.JSONDecodeError) as exc:
         raise UsageError(f"bad scenario configuration: {exc}") from exc
-    overrides = {}
-    if args.seed is not None:
-        overrides["seed"] = args.seed
-    if args.horizon is not None:
-        if args.horizon < 1:
-            raise UsageError("--horizon must be >= 1")
-        overrides["horizon"] = args.horizon
-    if args.trials is not None:
-        if args.trials < 1:
-            raise UsageError("--trials must be >= 1")
-        overrides["trials"] = args.trials
+    overrides = {key: value for key in ("seed", "horizon", "trials")
+                 if (value := getattr(args, key)) is not None}
     if args.workers < 1:
         raise UsageError("--workers must be >= 1")
     try:
@@ -93,7 +87,7 @@ def _outdir(args) -> Path:
 
 
 def cmd_simulate(args) -> int:
-    scenario = _resolve_scenario(args, bound=True)
+    scenario = _resolve_scenario(args, bound=True, seeded=True)
     out = _outdir(args)
     result = run_monte_carlo(scenario, workers=args.workers, compute_bound_trace=True)
     write_mse_csv(result, out / "mse.csv")
@@ -158,7 +152,7 @@ def cmd_conditions(args) -> int:
 
 def cmd_quantizer_test(args) -> int:
     """Statistical suite for the probabilistic quantizer (mean, variance, lattice)."""
-    seed = args.seed if args.seed is not None else _default_seed()
+    seed = _seed(args)
     if seed < 0:
         raise UsageError(f"seed must be >= 0, got {seed}")
     rng = np.random.default_rng(seed)

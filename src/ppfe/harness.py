@@ -24,11 +24,9 @@ from .rng import substream
 
 EVE_SATURATION = 1e15
 
-# Trials per block. A constant, so a trial's block and therefore its arithmetic
-# never depend on the worker count. Larger blocks spread the per-step Python
-# overhead over more trials but raise peak memory: a 500-step block of 32
-# three-channel trials holds about 4 MB of arrays.
-BLOCK_TRIALS = 32
+# Most trials in one block. A three-tank block peaks at about 240 bytes per
+# trial-step, so a 500-step block of 256 trials peaks at about 31 MB.
+MAX_BLOCK = 256
 
 # secrecy criterion (ii): fitted log growth rate may undershoot ln(min a_i>1) by this much
 SLOPE_MARGIN = 0.05
@@ -72,6 +70,12 @@ class Scenario:
             v.setflags(write=False)
             object.__setattr__(self, label, v)
         object.__setattr__(self, "sensors", tuple(self.sensors))
+        for key in ("horizon", "trials", "seed"):
+            value = getattr(self, key)
+            integral = isinstance(value, float) and value.is_integer()
+            if isinstance(value, bool) or not (integral or isinstance(value, (int, np.integer))):
+                raise ValueError(f"{key} must be an integer, got {value!r}")
+            object.__setattr__(self, key, int(value))
         if self.horizon < 1:
             raise ValueError("horizon must be >= 1")
         if self.trials < 1:
@@ -164,10 +168,8 @@ def scenario_from_dict(cfg: dict) -> Scenario:
     """Build a Scenario from a parsed configuration tree."""
     if "preset" in cfg and "model" not in cfg:
         overrides = _options(cfg, _PRESET_KEYS, "preset")
-        base = scenario_preset(cfg["preset"],
-                               seed=int(cfg.get("seed", 0)),
-                               horizon=int(cfg.get("horizon", 500)),
-                               trials=int(cfg.get("trials", 200)))
+        base = scenario_preset(cfg["preset"], seed=cfg.get("seed", 0),
+                               horizon=cfg.get("horizon", 500), trials=cfg.get("trials", 200))
         if "s" in cfg:
             overrides["s"] = float(cfg["s"])
         for key in ("a", "delta", "gamma_bar", "gamma_bar_eve"):
@@ -188,9 +190,9 @@ def scenario_from_dict(cfg: dict) -> Scenario:
         a=np.asarray(codec["a"], dtype=float),
         delta=np.asarray(codec["delta"], dtype=float),
         s=float(codec["s"]),
-        horizon=int(cfg["horizon"]),
-        trials=int(cfg.get("trials", 1)),
-        seed=int(cfg.get("seed", 0)),
+        horizon=cfg["horizon"],
+        trials=cfg.get("trials", 1),
+        seed=cfg.get("seed", 0),
         **options,
     )
 
@@ -255,10 +257,12 @@ def run_block(scenario: Scenario, start: int, stop: int) -> BlockResult:
     filtered error norm passes 1e15; divergence is the finding, not a
     failure, so its row is dropped at that step. A failure of either filter,
     or of the legitimate codec, raises, naming the party and the (seed,
-    trial) pair.
+    trial) pair. numpy computes a one-row matmul by another path, so a lone
+    trial runs as two identical trials and keeps the first: a trial's results
+    never depend on its block.
     """
     model, sensors, h, seed = scenario.model, scenario.sensors, scenario.horizon, scenario.seed
-    trials = range(start, stop)
+    trials = range(start, stop) if stop - start > 1 else (start, start)
     b, d = len(trials), model.d_x
     fusion = FusionFilter(model, sensors)
     ch = fusion.channel                      # output component -> channel
@@ -273,7 +277,7 @@ def run_block(scenario: Scenario, start: int, stop: int) -> BlockResult:
     else:
         traces = [sample_outcomes(scenario.channel, h, substream(seed, "channel", t))
                   for t in trials]
-    events = [(t, i, k, wc) for t, trace in zip(trials, traces)
+    events = [(t, i, k, wc) for t, trace in zip(range(start, stop), traces)
               for (i, k, wc) in detect_critical_events(trace)]
     if not transparent:
         uniforms = np.stack([substream(seed, "quantizer", t).random((h, ch.size)) for t in trials])
@@ -345,8 +349,9 @@ def run_block(scenario: Scenario, start: int, stop: int) -> BlockResult:
                     v[keep] for v in (tr, link, x, P, y_ref, t_ref, init, err))
             eve_err[tr[b:], k] = err[b:]
 
-    return BlockResult(legit_err=legit_err, pred_err=pred_err, eve_err=eve_err,
-                       eve_saturated_at=saturated_at, events=events)
+    n = stop - start                         # a lone trial keeps its first row
+    return BlockResult(legit_err=legit_err[:n], pred_err=pred_err[:n], eve_err=eve_err[:n],
+                       eve_saturated_at=saturated_at[:n], events=events)
 
 
 @dataclass
@@ -389,36 +394,37 @@ def compute_bound(scenario: Scenario, tol: float = 1e-10,
 
 
 def _blocks(scenario: Scenario, workers: int):
-    """Block results in trial order; a worker always takes whole blocks."""
-    starts = range(0, scenario.trials, BLOCK_TRIALS)
-    stops = [min(lo + BLOCK_TRIALS, scenario.trials) for lo in starts]
-    if workers > 1 and len(starts) > 1:
+    """(start, stop, block result) in trial order. The trials split into
+    consecutive blocks whose sizes differ by at most one: one block per
+    worker, or the fewest multiple of `workers` blocks that keeps each within
+    MAX_BLOCK trials."""
+    t = scenario.trials
+    n = min(t, workers * -(-t // (workers * MAX_BLOCK)))
+    bounds = [t * j // n for j in range(n + 1)]
+    starts, stops = bounds[:-1], bounds[1:]
+    if workers > 1 and n > 1:
         # imported here: the process-pool modules cost every command ~20 ms of start-up
         from concurrent.futures import ProcessPoolExecutor
 
-        with ProcessPoolExecutor(max_workers=min(workers, len(starts))) as pool:
-            yield from pool.map(run_block, repeat(scenario), starts, stops)
+        with ProcessPoolExecutor(max_workers=min(workers, n)) as pool:
+            yield from zip(starts, stops, pool.map(run_block, repeat(scenario), starts, stops))
     else:
-        for lo, hi in zip(starts, stops):
-            yield run_block(scenario, lo, hi)
+        yield from zip(starts, stops, map(run_block, repeat(scenario), starts, stops))
 
 
 def run_monte_carlo(scenario: Scenario, workers: int = 1,
                     compute_bound_trace: bool = False) -> RunResult:
-    """Block-parallel execution over fixed blocks of BLOCK_TRIALS trials;
-    results are folded in trial order, so they are bitwise independent of
-    the worker count."""
+    """Block-parallel execution (see `_blocks`). A trial's results do not
+    depend on its block (see `run_block`) and are folded in trial order, so
+    the outputs are bitwise independent of the worker count."""
     h, t, d = scenario.horizon, scenario.trials, scenario.model.d_x
     legit, pred, eve = (np.empty((t, h, d)) for _ in range(3))
     saturated_at = np.empty(t, dtype=int)
     events = []
-    lo = 0
-    for block in _blocks(scenario, workers):
-        hi = lo + block.eve_saturated_at.size
+    for lo, hi, block in _blocks(scenario, workers):
         legit[lo:hi], pred[lo:hi], eve[lo:hi] = block.legit_err, block.pred_err, block.eve_err
         saturated_at[lo:hi] = block.eve_saturated_at
         events += block.events
-        lo = hi
     sat = np.arange(h) >= saturated_at[:, None]  # (T, H)
 
     mse_legit = np.einsum("thd,thd->h", legit, legit) / t

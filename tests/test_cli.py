@@ -289,3 +289,30 @@ def test_benchmark_setup_probe_reaches_a_layer(tmp_path, command):
                            "three-tank-groupA1", "--trials", "1", "--horizon", "20",
                            "--out", str(tmp_path)], capture_output=True, text=True)
     assert proc.returncode == 0, proc.stderr
+
+
+@pytest.mark.parametrize("form", ["preset", "full"])
+@pytest.mark.parametrize("key, value", [("seed", 1.9), ("trials", 2.7), ("horizon", 10.5)])
+def test_fractional_count_is_usage_error(tmp_path, form, key, value):
+    # a fractional seed, trial count or horizon is a fault, not truncated
+    cfg = {"preset": "three-tank-groupA1"} if form == "preset" else scalar_config()
+    cfg[key] = value
+    out = tmp_path / "out"
+    proc = run_cli("simulate", "--scenario", write_scenario(tmp_path, cfg), "--out", str(out))
+    assert proc.returncode == 2, proc.stderr
+    lines = proc.stderr.strip().splitlines()
+    assert len(lines) == 1 and f"{key} must be an integer, got {value}" in lines[0], proc.stderr
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("command", ["bound", "conditions"])
+def test_seedless_commands_ignore_env_seed(tmp_path, command):
+    # only the commands that take --seed read $PPFE_SEED
+    outputs = []
+    for name, env in (("plain", None), ("env", {"PPFE_SEED": "abc"})):
+        out = tmp_path / name
+        proc = run_cli(command, "--preset", "three-tank-groupA1", "--out", str(out),
+                       env_extra=env)
+        assert proc.returncode == 0, proc.stderr
+        outputs.append({p.name: p.read_bytes() for p in sorted(out.iterdir())})
+    assert outputs[0] and outputs[1] == outputs[0]

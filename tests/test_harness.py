@@ -7,12 +7,13 @@ from types import SimpleNamespace
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from ppfe.channel import OutcomeTrace, sample_outcomes
 from ppfe.codec import (CodecOverflowError, ack, bootstrap_state, decode, eavesdrop_decode,
                         encode)
 from ppfe.estimator import run_filter
-from ppfe.harness import (BLOCK_TRIALS, EVE_SATURATION, Scenario, build_worst_case, compute_bound,
+from ppfe.harness import (EVE_SATURATION, Scenario, build_worst_case, compute_bound,
                           detect_critical_events, run_block, run_monte_carlo,
                           scenario_from_dict, scenario_preset, secrecy_report,
                           write_events_csv, write_mse_csv)
@@ -249,8 +250,8 @@ def test_monte_carlo_single_trial_equals_run_trial():
     sc = scalar_scenario(trials=1)
     mc = run_monte_carlo(sc)
     tr = run_trial(sc, 0)
-    assert np.allclose(mc.mse_legit, (tr.legit_err ** 2).sum(axis=1))
-    assert np.allclose(mc.emp_cov_trace, (tr.pred_err ** 2).sum(axis=1))
+    assert mc.mse_legit.tobytes() == (tr.legit_err ** 2).sum(axis=1).tobytes()
+    assert mc.emp_cov_trace.tobytes() == (tr.pred_err ** 2).sum(axis=1).tobytes()
 
 
 def test_monte_carlo_worker_determinism():
@@ -485,12 +486,13 @@ def test_engine_matches_recorded_fixtures(group, tmp_path):
         assert report[key] == summary[key]
 
 
-@pytest.mark.parametrize("trials", [BLOCK_TRIALS + 1, 2 * BLOCK_TRIALS + 5])
+@pytest.mark.parametrize("trials", [33, 69])
 def test_outputs_independent_of_workers_and_blocks(trials, tmp_path):
     sc = scenario_preset("three-tank-groupA1", seed=11, horizon=60, trials=trials)
-    # eavesdropper saturation lands mid-block: the first block's trials saturate at
-    # different steps, some not at all, so its filter runs on a shrinking subset
-    steps = run_block(sc, 0, BLOCK_TRIALS).eve_saturated_at
+    # eavesdropper saturation lands mid-block: the trials saturate at different
+    # steps, some not at all, so the filter runs on a shrinking subset; workers
+    # 1, 2 and 3 split the trials into 1, 2 and 3 blocks
+    steps = run_block(sc, 0, trials).eve_saturated_at
     assert (steps < sc.horizon).any() and len(set(steps.tolist())) > 2
     outputs = []
     for workers in (1, 2, 3):
@@ -504,37 +506,81 @@ def test_outputs_independent_of_workers_and_blocks(trials, tmp_path):
     assert outputs[1] == outputs[0] and outputs[2] == outputs[0]
 
 
+def assert_named_trial_fails_alone(sc, workers, error, pattern):
+    """The run names a failing trial, and that trial alone raises the same message.
+
+    The run raises for the first block, in trial order, that holds a failing
+    trial, and names its trial that fails at the earliest step; so which trial
+    is named may depend on the worker count, but never its message."""
+    with pytest.raises(error, match=pattern) as info:
+        run_monte_carlo(sc, workers=workers)
+    trial = int(re.search(r"trial (\d+)", str(info.value)).group(1))
+    with pytest.raises(error) as alone:
+        run_block(sc, trial, trial + 1)
+    assert str(alone.value) == str(info.value)
+
+
 def test_ill_conditioned_trial_is_named():
     model = SystemModel(A=0.9 * np.eye(2), Q=0.01 * np.eye(2), x0_mean=np.zeros(2), P0=np.eye(2))
     dup = SensorModel(C=[[1.0, 0.0]], R=[[1e-15]])
     sc = Scenario(model=model, sensors=(dup, dup), gamma_bar=[0.1, 0.1],
                   gamma_bar_eve=[0.1, 0.1], a=[0.5, 0.5], delta=[0.01, 0.01], s=1.0,
                   horizon=5, trials=8, seed=123)
-    with pytest.raises(ValueError, match=r"trial \d+ \(seed 123\): .*channels") as info:
-        run_monte_carlo(sc)
-    trial = int(re.search(r"trial (\d+)", str(info.value)).group(1))
-    with pytest.raises(ValueError, match=rf"trial {trial} \(seed 123\)"):
-        run_block(sc, trial, trial + 1)
-
     # duplicate channels: the authorized link delivers channel 0 only, the wiretap
     # both, so only the eavesdropper's innovation covariance is ill-conditioned
     one, both = np.array([[1] * 5, [0] * 5]), np.ones((2, 5), dtype=int)
     eve_sc = replace(sc, outcome_override=OutcomeTrace(auth=one, wire=both), trials=3, seed=1)
-    with pytest.raises(ValueError, match=r"trial 0 \(seed 1\): eavesdropper filter: "
-                                         r".*channels \(0, 1\)"):
-        run_monte_carlo(eve_sc)
-    assert np.isfinite(run_monte_carlo(replace(eve_sc, track_eavesdropper=False)).mse_legit).all()
     legit_sc = replace(eve_sc, outcome_override=OutcomeTrace(auth=both, wire=one))
-    with pytest.raises(ValueError, match=r"trial 0 \(seed 1\): legitimate filter: "
-                                         r".*channels \(0, 1\)"):
-        run_monte_carlo(legit_sc)
+    for workers in (1, 2):
+        assert_named_trial_fails_alone(sc, workers, ValueError,
+                                       r"trial \d+ \(seed 123\): .*channels")
+        assert_named_trial_fails_alone(eve_sc, workers, ValueError, r"trial 0 \(seed 1\): "
+                                       r"eavesdropper filter: .*channels \(0, 1\)")
+        quiet = run_monte_carlo(replace(eve_sc, track_eavesdropper=False), workers=workers)
+        assert np.isfinite(quiet.mse_legit).all()
+        assert_named_trial_fails_alone(legit_sc, workers, ValueError, r"trial 0 \(seed 1\): "
+                                       r"legitimate filter: .*channels \(0, 1\)")
 
 
 def test_legitimate_codec_overflow_names_trial():
     # a = 1e10 overflows after ~30 steps without reception at gamma = 0.05
     sc = scalar_scenario(a=[1e10], gamma_bar=[0.05], horizon=200, trials=6, seed=8)
-    with pytest.raises(CodecOverflowError, match=r"trial \d+ \(seed 8\)") as info:
-        run_monte_carlo(sc)
-    trial = int(re.search(r"trial (\d+)", str(info.value)).group(1))
-    with pytest.raises(CodecOverflowError, match=rf"trial {trial} \(seed 8\)"):
-        run_block(sc, trial, trial + 1)
+    for workers in (1, 2):
+        assert_named_trial_fails_alone(sc, workers, CodecOverflowError, r"trial \d+ \(seed 8\)")
+
+
+def random_block_scenario(seed, d, m, policy, track, trials, horizon):
+    """A random plant with `d` states and `m` sensors of at most two outputs each,
+    lossy links on both sides and a mix of decaying and fast-growing codecs."""
+    rng = np.random.default_rng(seed)
+    a_mat = rng.normal(0, 1, (d, d))
+    a_mat *= rng.uniform(0.5, 1.3) / max(np.abs(np.linalg.eigvals(a_mat)).max(), 1e-9)
+    q = rng.normal(0, 1, (d, d))
+    sensors = []
+    for _ in range(m):
+        dy = int(rng.integers(1, min(d, 2) + 1))
+        r = rng.normal(0, 1, (dy, dy))
+        sensors.append(SensorModel(C=rng.normal(0, 1, (dy, d)), R=r @ r.T + 0.1 * np.eye(dy)))
+    return Scenario(model=SystemModel(A=a_mat, Q=q @ q.T / d + 0.01 * np.eye(d),
+                                      x0_mean=rng.normal(0, 1, d), P0=np.eye(d)),
+                    sensors=tuple(sensors), gamma_bar=rng.uniform(0.3, 1.0, m),
+                    gamma_bar_eve=rng.uniform(0.3, 1.0, m), a=rng.choice([0.5, 5.0, 50.0], m),
+                    delta=rng.uniform(0.001, 0.1, m), s=1.0, horizon=horizon, trials=trials,
+                    seed=int(rng.integers(1000)), eve_reference_policy=policy,
+                    track_eavesdropper=track)
+
+
+@settings(max_examples=8, deadline=None)
+@given(seed=st.integers(0, 2 ** 32 - 1), d=st.integers(1, 4), m=st.integers(1, 3),
+       policy=st.sampled_from(["own", "legit-time"]), track=st.booleans())
+def test_block_outputs_do_not_depend_on_block_size(seed, d, m, policy, track):
+    # every trial's outputs are byte-equal whichever block it runs in, one-trial
+    # blocks included; 33 trials split into blocks of 32 leave a one-trial tail
+    sc = random_block_scenario(seed, d, m, policy, track, trials=33, horizon=16)
+    whole = run_block(sc, 0, sc.trials)
+    for size in (1, 2, 7, 32):
+        parts = [run_block(sc, lo, min(lo + size, sc.trials)) for lo in range(0, sc.trials, size)]
+        for name in ("legit_err", "pred_err", "eve_err", "eve_saturated_at"):
+            got = np.concatenate([getattr(part, name) for part in parts])
+            assert got.tobytes() == getattr(whole, name).tobytes(), (size, name)
+        assert [ev for part in parts for ev in part.events] == whole.events
