@@ -34,7 +34,7 @@ class ChannelModel:
 
 @dataclass(frozen=True)
 class OutcomeTrace:
-    """Realized per-step reception bits: auth[i, k] and wire[i, k] in {0, 1}."""
+    """One trial's checked (M, horizon) reception bits in {0, 1}: outcomes from outside."""
 
     auth: np.ndarray
     wire: np.ndarray
@@ -54,24 +54,19 @@ class OutcomeTrace:
         object.__setattr__(self, "auth", a)
         object.__setattr__(self, "wire", w)
 
-    @property
-    def n_channels(self) -> int:
-        return self.auth.shape[0]
 
-    @property
-    def horizon(self) -> int:
-        return self.auth.shape[1]
-
-
-def sample_outcomes(chan: ChannelModel, horizon: int, rng: np.random.Generator) -> OutcomeTrace:
-    """i.i.d. Bernoulli outcomes, all streams mutually independent, seed-deterministic."""
+def sample_outcomes(chan: ChannelModel, horizon: int, rngs) -> np.ndarray:
+    """i.i.d. Bernoulli receptions of a block, one generator per trial: a bool array
+    (2, B, M, horizon) of authorized, then wiretap receptions. Each trial's generator
+    spawns one stream per link, which draws its (M, horizon) uniforms in one call."""
     if horizon < 1:
         raise ValueError("horizon must be >= 1")
-    r_auth, r_wire = rng.spawn(2)
-    m = chan.n_channels
-    auth = (r_auth.random((m, horizon)) < chan.gamma_bar[:, None]).astype(np.uint8)
-    wire = (r_wire.random((m, horizon)) < chan.gamma_bar_eve[:, None]).astype(np.uint8)
-    return OutcomeTrace(auth=auth, wire=wire)
+    out = np.empty((2, len(rngs), chan.n_channels, horizon), dtype=bool)
+    probs = (chan.gamma_bar[:, None], chan.gamma_bar_eve[:, None])
+    for t, rng in enumerate(rngs):
+        for link, stream, p in zip(out, rng.spawn(2), probs):
+            np.less(stream.random(link.shape[1:]), p, out=link[t])
+    return out
 
 
 def channel_capacity(gamma_bar_i: float) -> float:

@@ -85,8 +85,7 @@ class Scenario:
         if self.eve_reference_policy not in ("own", "legit-time"):
             raise ValueError("eve_reference_policy must be 'own' or 'legit-time'")
         if self.outcome_override is not None:
-            ov = self.outcome_override
-            if ov.n_channels != m or ov.horizon != self.horizon:
+            if self.outcome_override.auth.shape != (m, self.horizon):
                 raise ValueError("outcome override must be (M, horizon)")
         self.model.inputs(self.horizon)
         object.__setattr__(self, "channel", ChannelModel(self.gamma_bar, self.gamma_bar_eve))
@@ -155,10 +154,11 @@ def _options(cfg: dict, allowed: set[str], form: str) -> dict:
     check_keys(cfg, allowed, f"a {form} scenario")
     opts = {key: cfg[key] for key in _OPTIONAL_KEYS if key in cfg}
     for key in ("transparent_quantizer", "track_eavesdropper"):
-        if key in opts:
-            opts[key] = bool(opts[key])
+        if not isinstance(opts.get(key, False), bool):
+            raise ValueError(f"{key} must be true or false, got {opts[key]!r}")
     if "outcome_override" in cfg:
         ov = cfg["outcome_override"]
+        check_keys(ov, {"auth", "wire"}, "outcome_override")
         opts["outcome_override"] = OutcomeTrace(auth=np.asarray(ov["auth"]),
                                                 wire=np.asarray(ov["wire"]))
     return opts
@@ -202,19 +202,16 @@ def load_scenario(path) -> Scenario:
         return scenario_from_dict(json.load(fh))
 
 
-def detect_critical_events(trace: OutcomeTrace) -> list[tuple[int, int, bool]]:
-    """All (channel, step) pairs with an authorized success and a wiretap miss.
-
-    The worst-case flag marks events after which the wiretap stream is
-    all-ones for the rest of the trace.
-    """
-    events = []
-    for i in range(trace.n_channels):
-        auth = trace.auth[i]
-        wire = trace.wire[i]
-        for k in np.nonzero((auth == 1) & (wire == 0))[0]:
-            events.append((i, int(k), bool(wire[k + 1:].all())))
-    return events
+def detect_critical_events(auth: np.ndarray, wire: np.ndarray) -> np.ndarray:
+    """Steps where the authorized link delivers and the wiretap misses, in (B, M, H)
+    reception masks: (E, 4) int rows (trial, channel, k_bar, worst_case) in
+    lexicographic order. worst_case marks an event after which the wiretap hears
+    every packet to the end of the trace (vacuously at the last step)."""
+    auth, wire = np.asarray(auth, dtype=bool), np.asarray(wire, dtype=bool)
+    hits = np.argwhere(auth & ~wire)
+    heard_after = np.ones(wire.shape, dtype=bool)   # wire[..., k + 1:].all()
+    heard_after[..., :-1] = np.logical_and.accumulate(wire[..., :0:-1], axis=-1)[..., ::-1]
+    return np.column_stack((hits, heard_after[tuple(hits.T)]))
 
 
 def build_worst_case(n_channels: int, horizon: int, channel: int, k_bar: int) -> OutcomeTrace:
@@ -237,7 +234,7 @@ class BlockResult:
     pred_err: np.ndarray           # (B, H, d_x) prediction errors x_k - xhat_{k|k-1}
     eve_err: np.ndarray            # (B, H, d_x)
     eve_saturated_at: np.ndarray   # (B,) first saturated step, H when never
-    events: list[tuple[int, int, int, bool]]  # (trial, channel, k_bar, worst_case)
+    events: np.ndarray             # (E, 4) rows (trial, channel, k_bar, worst_case), in order
 
 
 def run_block(scenario: Scenario, start: int, stop: int) -> BlockResult:
@@ -263,7 +260,7 @@ def run_block(scenario: Scenario, start: int, stop: int) -> BlockResult:
     """
     model, sensors, h, seed = scenario.model, scenario.sensors, scenario.horizon, scenario.seed
     trials = range(start, stop) if stop - start > 1 else (start, start)
-    b, d = len(trials), model.d_x
+    b, n, d = len(trials), stop - start, model.d_x    # a lone trial keeps its first row
     fusion = FusionFilter(model, sensors)
     ch = fusion.channel                      # output component -> channel
     a, delta, s = scenario.a[ch], scenario.delta[ch], scenario.s
@@ -272,19 +269,19 @@ def run_block(scenario: Scenario, start: int, stop: int) -> BlockResult:
     bu = model.inputs(h) @ model.B.T
 
     states, meas = simulate_plants(model, sensors, h, [substream(seed, "plant", t) for t in trials])
-    if scenario.outcome_override is not None:
-        traces = [scenario.outcome_override] * b
+    ov = scenario.outcome_override
+    if ov is None:
+        outcomes = sample_outcomes(scenario.channel, h,
+                                   [substream(seed, "channel", t) for t in trials])
     else:
-        traces = [sample_outcomes(scenario.channel, h, substream(seed, "channel", t))
-                  for t in trials]
-    events = [(t, i, k, wc) for t, trace in zip(range(start, stop), traces)
-              for (i, k, wc) in detect_critical_events(trace)]
+        outcomes = np.broadcast_to(np.stack((ov.auth, ov.wire))[:, None] == 1,
+                                   (2, b, *ov.auth.shape))
+    events = detect_critical_events(*outcomes[:, :n]) + (start, 0, 0, 0)  # numbered in the run
     if not transparent:
         uniforms = np.stack([substream(seed, "quantizer", t).random((h, ch.size)) for t in trials])
 
-    parties = ("auth", "wire") if scenario.track_eavesdropper else ("auth",)
-    link = np.stack([getattr(trace, p) for p in parties for trace in traces]).astype(bool)
-    tr = np.tile(np.arange(b), len(parties))                 # row -> trial of the block
+    link = outcomes[:2 if scenario.track_eavesdropper else 1].reshape(-1, *outcomes.shape[2:])
+    tr = np.arange(len(link)) % b            # row -> trial of the block
     x = np.repeat(model.x0_mean[None], tr.size, axis=0)
     P = np.repeat(model.P0[None], tr.size, axis=0)
     y_ref, t_ref = np.zeros((tr.size, ch.size)), np.zeros(link.shape[:2], dtype=int)
@@ -349,7 +346,6 @@ def run_block(scenario: Scenario, start: int, stop: int) -> BlockResult:
                     v[keep] for v in (tr, link, x, P, y_ref, t_ref, init, err))
             eve_err[tr[b:], k] = err[b:]
 
-    n = stop - start                         # a lone trial keeps its first row
     return BlockResult(legit_err=legit_err[:n], pred_err=pred_err[:n], eve_err=eve_err[:n],
                        eve_saturated_at=saturated_at[:n], events=events)
 
@@ -364,13 +360,12 @@ class RunResult:
     emp_cov_trace: np.ndarray      # trace of the trial-averaged prediction-error covariance
     emp_cov_trace_se: np.ndarray   # standard error of the empirical trace
     eve_mean_err: np.ndarray       # (H, d) mean eavesdropper error over unsaturated trials
-    events: list[tuple[int, int, int, bool]]  # (trial, channel, k_bar, worst_case)
+    events: np.ndarray             # (E, 4) rows (trial, channel, k_bar, worst_case), in order
     diverged_trials: int
     trials: int
     horizon: int
     bound: BoundSequence | None = None
     bound_trace: np.ndarray | None = None
-    scenario_name: str = ""
 
 
 def compute_bound(scenario: Scenario, tol: float = 1e-10,
@@ -424,21 +419,21 @@ def run_monte_carlo(scenario: Scenario, workers: int = 1,
     for lo, hi, block in _blocks(scenario, workers):
         legit[lo:hi], pred[lo:hi], eve[lo:hi] = block.legit_err, block.pred_err, block.eve_err
         saturated_at[lo:hi] = block.eve_saturated_at
-        events += block.events
+        events.append(block.events)
     sat = np.arange(h) >= saturated_at[:, None]  # (T, H)
 
     mse_legit = np.einsum("thd,thd->h", legit, legit) / t
     sq = np.einsum("thd,thd->th", pred, pred)
     trace_se = sq.std(axis=0, ddof=1) / math.sqrt(t) if t > 1 else np.zeros(h)
 
-    alive = ~sat
-    n_alive = alive.sum(axis=0)
-    eve_sq = np.where(alive, np.einsum("thd,thd->th", np.nan_to_num(eve), np.nan_to_num(eve)), 0.0)
+    # a saturated entry is NaN and counts as 0; a written one is finite
+    n_alive = (~sat).sum(axis=0)
+    eve = np.nan_to_num(eve)
+    eve_sq = np.einsum("thd,thd->th", eve, eve)
     with np.errstate(invalid="ignore", divide="ignore"):
         mse_eve = np.where(n_alive > 0, eve_sq.sum(axis=0) / np.maximum(n_alive, 1), np.inf)
         mean_err = np.where(n_alive[:, None] > 0,
-                            np.nan_to_num(eve).sum(axis=0) / np.maximum(n_alive, 1)[:, None],
-                            np.nan)
+                            eve.sum(axis=0) / np.maximum(n_alive, 1)[:, None], np.nan)
     if not scenario.track_eavesdropper:
         mse_eve = np.full(h, np.nan)
         mean_err = np.full((h, d), np.nan)
@@ -454,13 +449,12 @@ def run_monte_carlo(scenario: Scenario, workers: int = 1,
         emp_cov_trace=sq.sum(axis=0) / t,
         emp_cov_trace_se=trace_se,
         eve_mean_err=mean_err,
-        events=events,
+        events=np.concatenate(events),
         diverged_trials=int((saturated_at < h).sum()),
         trials=t,
         horizon=h,
         bound=bound_seq,
         bound_trace=bound_trace,
-        scenario_name=scenario.name,
     )
 
 
@@ -498,13 +492,13 @@ def secrecy_report(result: RunResult, scenario: Scenario) -> dict:
         detail["criterion_ii_mode"] = "no-growth-channel"
         detail["slope"] = None
     else:
-        growth_events = [k for (_t, ch, k, _w) in result.events if scenario.a[ch] > 1.0]
-        if not growth_events:
+        growth_events = result.events[scenario.a[result.events[:, 1]] > 1.0, 2]
+        if not growth_events.size:
             crit_ii = False
             detail["criterion_ii_mode"] = "no-critical-event"
             detail["slope"] = None
         else:
-            start = min(growth_events) + 2
+            start = growth_events.min() + 2
             norms = np.linalg.norm(np.nan_to_num(result.eve_mean_err), axis=1)
             ks = np.arange(result.horizon)
             mask = (ks >= start) & np.isfinite(result.mse_eve) & (norms > 0)
@@ -543,9 +537,8 @@ def write_mse_csv(result: RunResult, path) -> None:
 
 
 def write_events_csv(result: RunResult, path) -> None:
-    """Critical-event log: trial, channel, k_bar, worst_case."""
-    lines = ["trial,channel,k_bar,worst_case"]
-    for (trial, ch, k, wc) in sorted(result.events):
-        lines.append(f"{trial},{ch},{k},{int(wc)}")
+    """Critical-event log: trial, channel, k_bar, worst_case; the rows are in trial order."""
+    lines = ["trial,channel,k_bar,worst_case",
+             *(f"{t},{i},{k},{wc}" for t, i, k, wc in result.events.tolist())]
     with open(path, "w", newline="\n") as fh:
         fh.write("\n".join(lines) + "\n")

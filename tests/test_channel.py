@@ -8,38 +8,55 @@ from ppfe.channel import (ChannelModel, OutcomeTrace, channel_capacity, sample_o
 from ppfe.rng import substream
 
 
+def one_trial(chan, horizon, seed, trial=0):
+    """One trial's (authorized, wiretap) receptions, each (M, horizon)."""
+    return sample_outcomes(chan, horizon, [substream(seed, "channel", trial)])[:, 0]
+
+
 def test_all_ones_probability_gives_all_ones_trace():
     chan = ChannelModel(gamma_bar=[1.0, 1.0], gamma_bar_eve=[1.0, 1.0])
-    trace = sample_outcomes(chan, 50, substream(0, "channel", 0))
-    assert trace.auth.all() and trace.wire.all()
+    auth, wire = one_trial(chan, 50, 0)
+    assert auth.all() and wire.all()
 
 
 def test_empirical_means_match_nominal():
     n = 10 ** 5
     g = np.array([0.9, 0.95, 0.85])
     chan = ChannelModel(gamma_bar=g, gamma_bar_eve=[0.9, 0.85, 0.95])
-    trace = sample_outcomes(chan, n, substream(1, "channel", 0))
+    auth, wire = one_trial(chan, n, 1)
     for i, p in enumerate(g):
         tol = 3.0 * math.sqrt(p * (1 - p) / n)
-        assert abs(trace.auth[i].mean() - p) < tol
+        assert abs(auth[i].mean() - p) < tol
     for i, p in enumerate(chan.gamma_bar_eve):
         tol = 3.0 * math.sqrt(p * (1 - p) / n)
-        assert abs(trace.wire[i].mean() - p) < tol
+        assert abs(wire[i].mean() - p) < tol
 
 
 def test_outcome_determinism():
     chan = ChannelModel(gamma_bar=[0.5], gamma_bar_eve=[0.5])
-    a = sample_outcomes(chan, 100, substream(9, "channel", 3))
-    b = sample_outcomes(chan, 100, substream(9, "channel", 3))
-    assert a.auth.tobytes() == b.auth.tobytes()
-    assert a.wire.tobytes() == b.wire.tobytes()
+    a = one_trial(chan, 100, 9, trial=3)
+    b = one_trial(chan, 100, 9, trial=3)
+    assert a.tobytes() == b.tobytes()
+
+
+def test_block_outcomes_equal_per_trial_draws():
+    # each trial spawns one stream per link from its own substream and draws its
+    # (M, horizon) uniforms in one call, whatever block it is drawn in
+    chan = ChannelModel(gamma_bar=[0.9, 0.5, 0.2], gamma_bar_eve=[0.3, 0.6, 0.95])
+    block = sample_outcomes(chan, 40, [substream(4, "channel", t) for t in range(5)])
+    assert block.shape == (2, 5, 3, 40) and block.dtype == bool
+    for t in range(5):
+        r_auth, r_wire = substream(4, "channel", t).spawn(2)
+        assert np.array_equal(block[0, t], r_auth.random((3, 40)) < chan.gamma_bar[:, None])
+        assert np.array_equal(block[1, t], r_wire.random((3, 40)) < chan.gamma_bar_eve[:, None])
+        assert np.array_equal(block[:, t], one_trial(chan, 40, 4, trial=t))
 
 
 def test_outcome_streams_uncorrelated():
     n = 10 ** 5
     chan = ChannelModel(gamma_bar=[0.7, 0.7], gamma_bar_eve=[0.7, 0.7])
-    trace = sample_outcomes(chan, n, substream(2, "channel", 0))
-    streams = [trace.auth[0], trace.auth[1], trace.wire[0], trace.wire[1]]
+    auth, wire = one_trial(chan, n, 2)
+    streams = [auth[0], auth[1], wire[0], wire[1]]
     for i in range(4):
         for j in range(i + 1, 4):
             rho = np.corrcoef(streams[i], streams[j])[0, 1]

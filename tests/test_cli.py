@@ -250,9 +250,12 @@ def test_unknown_preset_key_is_usage_error(tmp_path):
 
 
 @pytest.mark.parametrize("where, key", [("channel", "gama"), ("codec", "sigma"),
-                                        ("sensor", "Rr"), ("model", "BB")])
+                                        ("sensor", "Rr"), ("model", "BB"),
+                                        ("outcome_override", "wier")])
 def test_unknown_nested_key_is_usage_error(tmp_path, where, key):
     cfg = scalar_config()
+    if where == "outcome_override":
+        cfg[where] = {"auth": [[1] * 10], "wire": [[1] * 10]}
     target = cfg["model"]["sensors"][0] if where == "sensor" else cfg[where]
     target[key] = 1.0
     proc = run_cli("simulate", "--scenario", write_scenario(tmp_path, cfg),
@@ -316,3 +319,25 @@ def test_seedless_commands_ignore_env_seed(tmp_path, command):
         assert proc.returncode == 0, proc.stderr
         outputs.append({p.name: p.read_bytes() for p in sorted(out.iterdir())})
     assert outputs[0] and outputs[1] == outputs[0]
+
+
+@pytest.mark.parametrize("form", ["preset", "full"])
+@pytest.mark.parametrize("key, value", [("track_eavesdropper", "false"),
+                                        ("transparent_quantizer", "no"),
+                                        ("track_eavesdropper", 0)])
+def test_non_boolean_switch_is_usage_error(tmp_path, form, key, value):
+    # a switch takes a JSON boolean; "false" or "no" must not turn it on
+    cfg = {"preset": "three-tank-groupA1"} if form == "preset" else scalar_config()
+    flags = ("--trials", "1", "--horizon", "5")
+    cfg[key] = False
+    ok = run_cli("simulate", "--scenario", write_scenario(tmp_path, cfg), *flags,
+                 "--out", str(tmp_path / "ok"))
+    assert ok.returncode == 0, ok.stderr
+    cfg[key] = value
+    out = tmp_path / "out"
+    proc = run_cli("simulate", "--scenario", write_scenario(tmp_path, cfg), *flags,
+                   "--out", str(out))
+    assert proc.returncode == 2, proc.stderr
+    lines = proc.stderr.strip().splitlines()
+    assert len(lines) == 1 and f"{key} must be true or false, got {value!r}" in lines[0], lines
+    assert not out.exists()

@@ -8,6 +8,7 @@ from types import SimpleNamespace
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
+from hypothesis.extra.numpy import arrays
 
 from ppfe.channel import OutcomeTrace, sample_outcomes
 from ppfe.codec import (CodecOverflowError, ack, bootstrap_state, decode, eavesdrop_decode,
@@ -35,39 +36,62 @@ def run_trial(sc, trial):
     block = run_block(sc, trial, trial + 1)
     return SimpleNamespace(legit_err=block.legit_err[0], pred_err=block.pred_err[0],
                            eve_err=block.eve_err[0],
-                           events=[ev[1:] for ev in block.events],
+                           events=block.events[:, 1:],
                            diverged=bool(block.eve_saturated_at[0] < sc.horizon))
 
 
 # ---------------------------------------------------------------- events
 
+def trial_events(auth, wire):
+    """(channel, k_bar, worst_case) rows of one trial's (M, H) reception bits."""
+    return detect_critical_events(np.array([auth]), np.array([wire]))[:, 1:].tolist()
+
+
+def reference_events(auth, wire):
+    """Per-trace loop over (B, M, H) masks: (trial, channel, k_bar, worst_case)."""
+    b, m, h = auth.shape
+    return [[t, i, k, int(wire[t, i, k + 1:].all())] for t in range(b) for i in range(m)
+            for k in range(h) if auth[t, i, k] and not wire[t, i, k]]
+
+
 def test_detect_critical_events_basic():
-    trace = OutcomeTrace(auth=[[1, 1, 1]], wire=[[1, 0, 1]])
-    events = detect_critical_events(trace)
-    assert events == [(0, 1, True)]
+    assert trial_events([[1, 1, 1]], [[1, 0, 1]]) == [[0, 1, 1]]
 
 
 def test_detect_no_events_when_wiretap_lossless():
-    trace = OutcomeTrace(auth=[[1, 1, 1]], wire=[[1, 1, 1]])
-    assert detect_critical_events(trace) == []
+    assert trial_events([[1, 1, 1]], [[1, 1, 1]]) == []
 
 
 def test_detect_requires_authorized_success():
-    trace = OutcomeTrace(auth=[[0, 0, 0]], wire=[[0, 0, 0]])
-    assert detect_critical_events(trace) == []
+    assert trial_events([[0, 0, 0]], [[0, 0, 0]]) == []
 
 
 def test_detect_worst_case_flag_false_on_later_miss():
-    trace = OutcomeTrace(auth=[[1, 1, 1, 1]], wire=[[0, 1, 0, 1]])
-    events = detect_critical_events(trace)
-    assert (0, 0, False) in events and (0, 2, True) in events
+    events = trial_events([[1, 1, 1, 1]], [[0, 1, 0, 1]])
+    assert [0, 0, 0] in events and [0, 2, 1] in events
+
+
+@settings(max_examples=50, deadline=None)
+@given(data=st.data(), b=st.integers(1, 5), m=st.integers(1, 4), h=st.integers(1, 40),
+       last=st.booleans())
+def test_detect_critical_events_matches_reference_loop(data, b, m, h, last):
+    auth = data.draw(arrays(bool, (b, m, h)))
+    wire = data.draw(arrays(bool, (b, m, h)))
+    if last:
+        # an event at the last step is vacuously worst-case
+        auth[-1, -1, -1], wire[-1, -1, -1] = True, False
+    events = detect_critical_events(auth, wire)
+    assert events.dtype.kind == "i" and events.ndim == 2 and events.shape[1] == 4
+    assert events.tolist() == reference_events(auth, wire)
+    if last:
+        assert events[-1].tolist() == [b - 1, m - 1, h - 1, 1]
 
 
 def test_build_worst_case_shape_and_roundtrip():
     trace = build_worst_case(1, 5, channel=0, k_bar=2)
     assert np.array_equal(trace.wire[0], [1, 1, 0, 1, 1])
     assert trace.auth.all()
-    assert detect_critical_events(trace) == [(0, 2, True)]
+    assert trial_events(trace.auth, trace.wire) == [[0, 2, 1]]
     boundary = build_worst_case(2, 4, channel=1, k_bar=0)
     assert boundary.wire[1, 0] == 0 and boundary.wire[1, 1:].all()
     with pytest.raises(ValueError):
@@ -103,7 +127,7 @@ def test_trial_determinism():
     b = run_trial(sc, 2)
     assert a.legit_err.tobytes() == b.legit_err.tobytes()
     assert a.eve_err.tobytes() == b.eve_err.tobytes()
-    assert a.events == b.events
+    assert np.array_equal(a.events, b.events)
 
 
 def test_eve_equals_legit_null_test():
@@ -167,7 +191,9 @@ def reference_trial(sc, trial):
     traj = simulate_plant(sc.model, sc.sensors, sc.horizon, substream(sc.seed, "plant", trial))
     links = sc.outcome_override
     if links is None:
-        links = sample_outcomes(sc.channel, sc.horizon, substream(sc.seed, "channel", trial))
+        auth, wire = sample_outcomes(sc.channel, sc.horizon,
+                                     [substream(sc.seed, "channel", trial)])[:, 0]
+        links = SimpleNamespace(auth=auth, wire=wire)
     rng = substream(sc.seed, "quantizer", trial)
     enc = [bootstrap_state(sn.d_y) for sn in sc.sensors]
     legit, eve = list(enc), list(enc)
@@ -261,7 +287,7 @@ def test_monte_carlo_worker_determinism():
     assert r1.mse_legit.tobytes() == r2.mse_legit.tobytes()
     assert r1.mse_eve.tobytes() == r2.mse_eve.tobytes()
     assert r1.emp_cov_trace.tobytes() == r2.emp_cov_trace.tobytes()
-    assert r1.events == r2.events
+    assert np.array_equal(r1.events, r2.events)
 
 
 def test_monte_carlo_self_consistency_with_filter_covariance():
@@ -439,8 +465,8 @@ def test_three_tank_filter_covariance_stays_bounded():
     model, sensors = sc.model, list(sc.sensors)
     codecs = sc.codecs
     traj = simulate_plant(model, sensors, sc.horizon, substream(13, "plant", 0))
-    trace = sample_outcomes(ChannelModel(sc.gamma_bar, sc.gamma_bar_eve),
-                            sc.horizon, substream(13, "channel", 0))
+    auth = sample_outcomes(ChannelModel(sc.gamma_bar, sc.gamma_bar_eve),
+                           sc.horizon, [substream(13, "channel", 0)])[0, 0]
     quant = substream(13, "quantizer", 0)
     enc = [bootstrap_state(s.d_y) for s in sensors]
     dec = [bootstrap_state(s.d_y) for s in sensors]
@@ -448,11 +474,11 @@ def test_three_tank_filter_covariance_stays_bounded():
     for k in range(sc.horizon):
         for i in range(3):
             pkt = encode(enc[i], codecs[i], traj.measurements[i][k], k, quant)
-            if trace.auth[i, k]:
+            if auth[i, k]:
                 ybar, dec[i] = decode(dec[i], codecs[i], pkt.z, k)
                 enc[i] = ack(enc[i], ybar, k)
                 decoded[k][i] = ybar
-    states = run_filter(model, sensors, codecs, trace.auth, decoded)
+    states = run_filter(model, sensors, codecs, auth, decoded)
     cap = 10.0 * float(np.trace(model.P0))
     for st in states[1::2]:
         assert float(np.trace(st.P)) < cap
@@ -583,4 +609,4 @@ def test_block_outputs_do_not_depend_on_block_size(seed, d, m, policy, track):
         for name in ("legit_err", "pred_err", "eve_err", "eve_saturated_at"):
             got = np.concatenate([getattr(part, name) for part in parts])
             assert got.tobytes() == getattr(whole, name).tobytes(), (size, name)
-        assert [ev for part in parts for ev in part.events] == whole.events
+        assert np.array_equal(np.concatenate([part.events for part in parts]), whole.events)
