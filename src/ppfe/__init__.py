@@ -9,9 +9,8 @@ prediction-error covariance, capacity/entropy and PBH solvability conditions,
 and empirical secrecy verdicts.
 """
 
-from .analysis import (BoundParams, BoundSequence, capacity_condition,
-                       check_stability_inequality, distortion_rates, gain_floor,
-                       hadamard_weight, inflation_diag, iterate_bound,
+from .analysis import (BoundParams, BoundSequence, capacity_condition, distortion_rates,
+                       gain_floor, hadamard_weight, inflation_diag, iterate_bound,
                        mahler_entropy, noise_domination_check, pbh_unit_circle,
                        retention_scalar, riccati_map)
 from .channel import (ChannelModel, OutcomeTrace, channel_capacity, sample_outcomes,

@@ -12,7 +12,7 @@ import numpy as np
 
 from .channel import channel_capacity, total_capacity
 from .codec import quantize
-from .model import SensorModel, block_diag, psd_factor, symmetrize
+from .model import SensorModel, psd_factor, stack_sensors, symmetrize
 
 GAMMA_CAP = 1.0 - 1e-9
 DIVERGENCE_TRACE = 1e12
@@ -30,9 +30,10 @@ class BoundParams:
     `delta` holds the codec quantization steps (used when distortion rates are
     refreshed from the running iterate); `distortion_rates` holds fixed rates
     for the fixed-parameter mode. What depends only on the sensors and
-    `gamma_bar` is built once here: the per-channel output dimensions, the
-    sensors grouped by output dimension, the stacked C, the block-diagonal
-    effective R, the whitened stack of R_i^{-1/2} C_i and the Hadamard weight.
+    `gamma_bar` is built once here: the stacked layout of
+    `model.stack_sensors` (stacked C, block-diagonal effective R, the sensor
+    index `channel` of each row), the sensors grouped by output dimension, the
+    whitened stack of R_i^{-1/2} C_i and the Hadamard weight.
     """
 
     A: np.ndarray
@@ -42,7 +43,7 @@ class BoundParams:
     s: float
     delta: np.ndarray | None = None
     distortion_rates: np.ndarray | None = None
-    dims: tuple[int, ...] = field(init=False, repr=False, compare=False)
+    channel: np.ndarray = field(init=False, repr=False, compare=False)
     groups: tuple = field(init=False, repr=False, compare=False)
     c_stack: np.ndarray = field(init=False, repr=False, compare=False)
     r_block: np.ndarray = field(init=False, repr=False, compare=False)
@@ -77,14 +78,14 @@ class BoundParams:
         dn = self.distortion_rates
         if dn is not None and not np.all((dn > 0.0) & (dn < 1.0)):
             raise ValueError("distortion rates must lie in (0, 1)")
-        c_stack, r_block, dims = stack_sensors(self.sensors)
+        c_stack, r_block, channel = stack_sensors(self.sensors)
         whitened = np.vstack([_r_inv_sqrt(sn.r_eff, i) @ sn.C for i, sn in enumerate(self.sensors)])
         groups = _sensor_groups(self.sensors)
-        for val in (c_stack, r_block, whitened, *(arr for grp in groups for arr in grp)):
+        for val in (c_stack, r_block, channel, whitened, *(arr for grp in groups for arr in grp)):
             val.setflags(write=False)
-        for name, val in (("dims", dims), ("groups", groups), ("c_stack", c_stack),
+        for name, val in (("channel", channel), ("groups", groups), ("c_stack", c_stack),
                           ("r_block", r_block), ("whitened", whitened),
-                          ("weight", hadamard_weight(g, dims))):
+                          ("weight", hadamard_weight(g, channel))):
             object.__setattr__(self, name, val)
 
 
@@ -139,19 +140,13 @@ def distortion_rates(sigma: np.ndarray, groups, delta: np.ndarray, s: float) -> 
     return rates
 
 
-def stack_sensors(sensors) -> tuple[np.ndarray, np.ndarray, tuple[int, ...]]:
-    """Row-stacked C, block-diagonal effective R, and per-channel output dimensions."""
-    dims = tuple(s.d_y for s in sensors)
-    return np.vstack([s.C for s in sensors]), block_diag([s.r_eff for s in sensors]), dims
-
-
-def inflation_diag(rates: np.ndarray, s: float, dims) -> np.ndarray:
+def inflation_diag(rates: np.ndarray, s: float, channel: np.ndarray) -> np.ndarray:
     """Diagonal of the block-diagonal inflation matrix V: per sensor
     sqrt(s^2 d + |s| eta + d/(|s| eta)) at eta = sqrt(d)/|s|, where the last two
-    terms are smallest (2 sqrt(d)), repeated over the sensor's `dims` rows."""
+    terms are smallest (2 sqrt(d)), on each of the sensor's stacked rows."""
     s_abs = abs(s)
     eta = np.sqrt(rates) / s_abs
-    return np.repeat(np.sqrt(s * s * rates + s_abs * eta + rates / (s_abs * eta)), dims)
+    return np.sqrt(s * s * rates + s_abs * eta + rates / (s_abs * eta))[channel]
 
 
 def retention_scalar(sigma_minus, c_stack, r_block, v) -> float:
@@ -174,10 +169,10 @@ def retention_scalar(sigma_minus, c_stack, r_block, v) -> float:
     return math.sqrt(lam / float(eig[0, -1]))
 
 
-def hadamard_weight(gamma_bar, dims) -> np.ndarray:
+def hadamard_weight(gamma_bar, channel: np.ndarray) -> np.ndarray:
     """Bernoulli second-moment weight: cross-channel blocks 1, own blocks 1/gamma_i."""
     g = np.atleast_1d(np.asarray(gamma_bar, dtype=float))
-    return block_diag([np.full((m, m), 1.0 / gi) for gi, m in zip(g, dims)], fill=1.0)
+    return np.where(channel[:, None] == channel[None, :], 1.0 / g[channel], 1.0)
 
 
 def _r_inv_sqrt(r: np.ndarray, sensor: int) -> np.ndarray:
@@ -237,7 +232,7 @@ def iterate_bound(
     def step_w(x):
         rates = (distortion_rates(x, params.groups, params.delta, params.s)
                  if recompute else params.distortion_rates)
-        v = inflation_diag(rates, params.s, params.dims)
+        v = inflation_diag(rates, params.s, params.channel)
         return retention_scalar(x, params.c_stack, params.r_block, v)
 
     current = symmetrize(np.asarray(v1, dtype=float))
@@ -321,31 +316,6 @@ def pbh_unit_circle(a: np.ndarray, qeff: np.ndarray,
     }
 
 
-def check_stability_inequality(
-    a: np.ndarray,
-    sigma_breve: np.ndarray,
-    gain: np.ndarray,
-    gamma_bar,
-    dims,
-    h: np.ndarray,
-) -> tuple[bool, float]:
-    """Verify a candidate (Sigma, K) for the strict stability inequality.
-
-    Evaluates Sigma - (A - K Gam H) Sigma (A - K Gam H)^T
-    - K [diag{gam(1-gam) 1 1^T} ∘ (H Sigma H^T)] K^T and reports whether its
-    minimum eigenvalue is positive (strict feasibility) plus that margin.
-    Verification only; no synthesis is attempted.
-    """
-    g = np.atleast_1d(np.asarray(gamma_bar, dtype=float))
-    sigma = symmetrize(np.asarray(sigma_breve, dtype=float))
-    gam_diag = np.diag(np.repeat(g, dims))
-    mask = block_diag([np.full((m, m), gi * (1.0 - gi)) for gi, m in zip(g, dims)])
-    closed = a - gain @ gam_diag @ h
-    rhs = closed @ sigma @ closed.T + gain @ (mask * (h @ sigma @ h.T)) @ gain.T
-    margin = float(np.linalg.eigvalsh(symmetrize(sigma - rhs))[0])
-    return margin > 0.0, margin
-
-
 def gain_floor(qeff: np.ndarray, c_stack: np.ndarray, p_eve: np.ndarray,
                r_block: np.ndarray) -> tuple[float, float]:
     """Gain floor kappa with (K_e)^T K_e >= kappa I, and the verification margin.
@@ -412,7 +382,8 @@ def noise_domination_check(
     s = codecs[0].s
     if any(c.s != s for c in codecs):
         raise ValueError("all channels must share the scale s")
-    dims = tuple(sn.d_y for sn in sensors)
+    c_stack, r_block, channel = stack_sensors(sensors)
+    g_row = gam[channel]
 
     fx = psd_factor(sigma)
     x = (fx @ rng.standard_normal((fx.shape[1], n_samples))).T
@@ -424,8 +395,8 @@ def noise_domination_check(
         e = quantize(zbar, cd.delta, rng) - zbar
         v_cols.append(y - x @ sn.C.T)  # measurement-noise part E v
         e_cols.append(e)
-    v_all = np.hstack([gam[i] * v_cols[i] for i in range(len(sensors))])
-    e_all = np.hstack([gam[i] * e_cols[i] for i in range(len(sensors))])
+    v_all = np.hstack(v_cols) * g_row
+    e_all = np.hstack(e_cols) * g_row
 
     # per-sample symmetric contribution, then mean and entrywise standard error
     contrib = (s * s) * np.einsum("ti,tj->tij", e_all, e_all)
@@ -438,13 +409,14 @@ def noise_domination_check(
     # the bound's own rates and inflation V; the blockwise middle term is
     # diag(gam_i^2 V_i^2 (C_i Sigma C_i^T + R_i)), i.e. (Gam V) blockdiag(S_i) (Gam V)
     deltas = np.array([cd.delta for cd in codecs])
-    v = inflation_diag(distortion_rates(sigma, _sensor_groups(sensors), deltas, s), s, dims)
-    gv = np.repeat(gam, dims) * v
-    s_blocks = block_diag([sn.C @ sigma @ sn.C.T + sn.r_eff for sn in sensors])
+    v = inflation_diag(distortion_rates(sigma, _sensor_groups(sensors), deltas, s), s, channel)
+    gv = g_row * v
+    own = channel[:, None] == channel[None, :]
+    s_blocks = np.where(own, c_stack @ sigma @ c_stack.T + r_block, 0.0)
     mid = (gv[:, None] * s_blocks) * gv[None, :]
 
-    c_gam = np.vstack([gam[i] * sensors[i].C for i in range(len(sensors))])
-    r_gam = block_diag([g ** 2 * sn.r_eff for g, sn in zip(gam, sensors)])
+    c_gam = g_row[:, None] * c_stack
+    r_gam = g_row[:, None] ** 2 * r_block
     right = (v[:, None] * symmetrize(c_gam @ sigma @ c_gam.T + r_gam)) * v[None, :]
 
     margin_mid = float(np.linalg.eigvalsh(symmetrize(mid - lhs))[0])

@@ -14,9 +14,8 @@ from __future__ import annotations
 
 import numpy as np
 
-from .analysis import stack_sensors
 from .codec import CodecParams
-from .model import SensorModel, SystemModel, symmetrize
+from .model import SensorModel, SystemModel, stack_sensors, symmetrize
 
 COND_LIMIT = 1e12
 
@@ -40,8 +39,7 @@ class FusionFilter:
     def __init__(self, model: SystemModel, sensors):
         self.A = model.A
         self.qeff = model.qeff
-        self.C, self.R, dims = stack_sensors(sensors)
-        self.channel = np.repeat(np.arange(len(dims)), dims)
+        self.C, self.R, self.channel = stack_sensors(sensors)
 
     def predict(self, x: np.ndarray, P: np.ndarray, bu: np.ndarray):
         """Time update: x <- A x + B u, P <- A P A^T + D Q D^T."""
@@ -80,12 +78,13 @@ class FusionFilter:
         return x, symmetrize(P)
 
 
-def decoding_noise(sensors, codecs: list[CodecParams], transparent: bool = False) -> np.ndarray:
-    """Per-component decoding-error variance s^2 delta^2 / 4, or 0 with no quantizer."""
+def decoding_noise(codecs: list[CodecParams], channel: np.ndarray,
+                   transparent: bool = False) -> np.ndarray:
+    """Decoding-error variance s^2 delta^2 / 4 of each stacked row (sensor `channel`),
+    or 0 with no quantizer."""
     if transparent:
-        return np.zeros(sum(s.d_y for s in sensors))
-    return np.concatenate([np.full(s.d_y, c.s ** 2 * c.delta ** 2 / 4.0)
-                           for s, c in zip(sensors, codecs)])
+        return np.zeros(channel.size)
+    return np.array([c.s ** 2 * c.delta ** 2 / 4.0 for c in codecs])[channel]
 
 
 def run_filter(
@@ -106,20 +105,20 @@ def run_filter(
     """
     outcomes = np.asarray(outcomes).astype(bool)
     horizon = outcomes.shape[1]
-    cols = np.cumsum([0, *(s.d_y for s in sensors)])
-    y = np.zeros((horizon, cols[-1]))
-    rdec = np.tile(decoding_noise(sensors, codecs), (horizon, 1))
+    fusion = FusionFilter(model, sensors)
+    ch = fusion.channel
+    y = np.zeros((horizon, ch.size))
+    rdec = np.tile(decoding_noise(codecs, ch), (horizon, 1))
     for k in range(horizon):
         q_k = None if q_values is None else q_values[k]
         for i in np.flatnonzero(outcomes[:, k]):
             if decoded[k][i] is None:
                 raise ValueError(f"channel {i} has outcome 1 at step {k} but no decoded value")
-            y[k, cols[i]:cols[i + 1]] = decoded[k][i]
+            y[k, ch == i] = decoded[k][i]
             if q_k is not None and q_k[i] is not None:
                 q = np.asarray(q_k[i], dtype=float)
-                rdec[k, cols[i]:cols[i + 1]] = codecs[i].s ** 2 * q * (1.0 - q) * codecs[i].delta ** 2
+                rdec[k, ch == i] = codecs[i].s ** 2 * q * (1.0 - q) * codecs[i].delta ** 2
 
-    fusion = FusionFilter(model, sensors)
     d = model.d_x
     out = np.recarray(2 * horizon, dtype=[("x", float, (d,)), ("P", float, (d, d))])
     x, P = model.x0_mean[None], model.P0[None]

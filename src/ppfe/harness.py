@@ -7,6 +7,7 @@ from __future__ import annotations
 
 import json
 import math
+import os
 from dataclasses import dataclass, field, replace
 from functools import cached_property
 from itertools import repeat
@@ -82,6 +83,8 @@ class Scenario:
             raise ValueError("trials must be >= 1")
         if self.seed < 0:
             raise ValueError(f"seed must be >= 0, got {self.seed}")
+        if not isinstance(self.name, str):
+            raise ValueError(f"name must be a string, got {self.name!r}")
         if self.eve_reference_policy not in ("own", "legit-time"):
             raise ValueError("eve_reference_policy must be 'own' or 'legit-time'")
         if self.outcome_override is not None:
@@ -265,7 +268,7 @@ def run_block(scenario: Scenario, start: int, stop: int) -> BlockResult:
     ch = fusion.channel                      # output component -> channel
     a, delta, s = scenario.a[ch], scenario.delta[ch], scenario.s
     transparent = scenario.transparent_quantizer
-    rdec = decoding_noise(sensors, scenario.codecs, transparent)
+    rdec = decoding_noise(scenario.codecs, ch, transparent)
     bu = model.inputs(h) @ model.B.T
 
     states, meas = simulate_plants(model, sensors, h, [substream(seed, "plant", t) for t in trials])
@@ -392,16 +395,18 @@ def _blocks(scenario: Scenario, workers: int):
     """(start, stop, block result) in trial order. The trials split into
     consecutive blocks whose sizes differ by at most one: one block per
     worker, or the fewest multiple of `workers` blocks that keeps each within
-    MAX_BLOCK trials."""
+    MAX_BLOCK trials. The blocks run in a pool of at most one process per
+    CPU, or in this process when that is one; the split does not depend on it."""
     t = scenario.trials
     n = min(t, workers * -(-t // (workers * MAX_BLOCK)))
     bounds = [t * j // n for j in range(n + 1)]
     starts, stops = bounds[:-1], bounds[1:]
-    if workers > 1 and n > 1:
+    procs = min(workers, n, os.cpu_count() or 1)
+    if procs > 1:
         # imported here: the process-pool modules cost every command ~20 ms of start-up
         from concurrent.futures import ProcessPoolExecutor
 
-        with ProcessPoolExecutor(max_workers=min(workers, n)) as pool:
+        with ProcessPoolExecutor(max_workers=procs) as pool:
             yield from zip(starts, stops, pool.map(run_block, repeat(scenario), starts, stops))
     else:
         yield from zip(starts, stops, map(run_block, repeat(scenario), starts, stops))
@@ -483,20 +488,15 @@ def secrecy_report(result: RunResult, scenario: Scenario) -> dict:
         "max_bound_violation": float((emp - result.bound_trace - slack).max()),
         "diverged_trials": result.diverged_trials,
     }
+    slope = None
     if result.diverged_trials > 0:
-        crit_ii = True
-        detail["criterion_ii_mode"] = "diverged-flag"
-        detail["slope"] = None
+        crit_ii, mode = True, "diverged-flag"
     elif not growing:
-        crit_ii = False
-        detail["criterion_ii_mode"] = "no-growth-channel"
-        detail["slope"] = None
+        crit_ii, mode = False, "no-growth-channel"
     else:
         growth_events = result.events[scenario.a[result.events[:, 1]] > 1.0, 2]
         if not growth_events.size:
-            crit_ii = False
-            detail["criterion_ii_mode"] = "no-critical-event"
-            detail["slope"] = None
+            crit_ii, mode = False, "no-critical-event"
         else:
             start = growth_events.min() + 2
             norms = np.linalg.norm(np.nan_to_num(result.eve_mean_err), axis=1)
@@ -504,17 +504,13 @@ def secrecy_report(result: RunResult, scenario: Scenario) -> dict:
             mask = (ks >= start) & np.isfinite(result.mse_eve) & (norms > 0)
             want = math.log(min(growing)) - SLOPE_MARGIN
             if mask.sum() < 4:
-                crit_ii = False
-                detail["criterion_ii_mode"] = "window-too-short"
-                detail["slope"] = None
+                crit_ii, mode = False, "window-too-short"
             else:
                 slope = float(np.polyfit(ks[mask], np.log(norms[mask]), 1)[0])
-                crit_ii = slope >= want
-                detail["criterion_ii_mode"] = "log-linear-fit"
-                detail["slope"] = slope
+                crit_ii, mode = slope >= want, "log-linear-fit"
                 detail["slope_required"] = want
-    detail["criterion_ii"] = crit_ii
-    detail["secrecy"] = crit_i and crit_ii
+    detail.update(criterion_ii=crit_ii, criterion_ii_mode=mode, slope=slope,
+                  secrecy=crit_i and crit_ii)
     return detail
 
 

@@ -14,10 +14,10 @@ def symmetrize(m: np.ndarray) -> np.ndarray:
     return 0.5 * (m + m.swapaxes(-1, -2))
 
 
-def block_diag(blocks, fill: float = 0.0) -> np.ndarray:
-    """Square blocks along the diagonal, `fill` in every entry outside them."""
+def block_diag(blocks) -> np.ndarray:
+    """Square blocks along the diagonal, zeros outside them."""
     dims = [b.shape[0] for b in blocks]
-    out = np.full((sum(dims), sum(dims)), float(fill))
+    out = np.zeros((sum(dims), sum(dims)))
     pos = 0
     for b, m in zip(blocks, dims):
         out[pos:pos + m, pos:pos + m] = b
@@ -183,6 +183,15 @@ class SensorModel:
         return self.E.shape[1]
 
 
+def stack_sensors(sensors) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """The stacked layout of the fusion filter and the bound: the row-stacked C,
+    the block-diagonal effective R, and the sensor index of each stacked row.
+    A per-sensor value v is v[channel] per row; a sensor's own block is where
+    channel[:, None] == channel[None, :]."""
+    channel = np.repeat(np.arange(len(sensors)), [s.d_y for s in sensors])
+    return np.vstack([s.C for s in sensors]), block_diag([s.r_eff for s in sensors]), channel
+
+
 class Trajectory(NamedTuple):
     """One plant realization: states x_0..x_H, measurements y_{i,0}..y_{i,H-1}."""
 
@@ -232,9 +241,9 @@ def simulate_plant(
 ) -> Trajectory:
     """One seeded trajectory: `simulate_plants` for a single generator."""
     states, meas = simulate_plants(model, sensors, horizon, [rng])
-    cols = np.cumsum([0, *(s.d_y for s in sensors)])
+    channel = stack_sensors(sensors)[2]
     return Trajectory(states=states[0],
-                      measurements=tuple(meas[0, :, cols[i]:cols[i + 1]] for i in range(len(sensors))))
+                      measurements=tuple(meas[0][:, channel == i] for i in range(len(sensors))))
 
 
 def three_tank_preset() -> tuple[SystemModel, list[SensorModel]]:

@@ -341,3 +341,21 @@ def test_non_boolean_switch_is_usage_error(tmp_path, form, key, value):
     lines = proc.stderr.strip().splitlines()
     assert len(lines) == 1 and f"{key} must be true or false, got {value!r}" in lines[0], lines
     assert not out.exists()
+
+
+@pytest.mark.parametrize("form", ["preset", "full"])
+def test_non_string_name_is_usage_error(tmp_path, form):
+    cfg = {"preset": "three-tank-groupA1"} if form == "preset" else scalar_config()
+    flags = ("--trials", "1", "--horizon", "5")
+    cfg["name"] = "labelled"
+    ok = run_cli("simulate", "--scenario", write_scenario(tmp_path, cfg), *flags,
+                 "--out", str(tmp_path / "ok"))
+    assert ok.returncode == 0, ok.stderr
+    cfg["name"] = [1, 2]
+    out = tmp_path / "out"
+    proc = run_cli("simulate", "--scenario", write_scenario(tmp_path, cfg), *flags,
+                   "--out", str(out))
+    assert proc.returncode == 2, proc.stderr
+    lines = proc.stderr.strip().splitlines()
+    assert len(lines) == 1 and "name must be a string, got [1, 2]" in lines[0], lines
+    assert not out.exists()

@@ -88,8 +88,8 @@ def test_build_augmented_reduced_stack_three_tank():
     assert np.array_equal(fusion.channel, [0, 0, 1, 1, 2, 2])
     codecs = [CodecParams(a=5.0, delta=0.01, s=1.0)] * 3
     # bound-mode decoding variance: s^2 delta^2 / 4 per component
-    assert np.allclose(decoding_noise(sensors, codecs), [2.5e-5] * 6)
-    assert np.array_equal(decoding_noise(sensors, codecs, transparent=True), np.zeros(6))
+    assert np.allclose(decoding_noise(codecs, fusion.channel), [2.5e-5] * 6)
+    assert np.array_equal(decoding_noise(codecs, fusion.channel, transparent=True), np.zeros(6))
 
 
 def test_build_augmented_realized_q():
@@ -189,7 +189,7 @@ def test_reduced_form_equals_gamma_weighted_full_stack():
         y = np.concatenate([v if v is not None else np.zeros(s.d_y)
                             for v, s in zip(decoded, sensors)])
         rx, rp = fusion.update(*one(x0, p), y[None], outcomes[None].astype(bool),
-                               decoding_noise(sensors, codecs))
+                               decoding_noise(codecs, fusion.channel))
 
         # full stack with outcome-weighted rows and pinv for the singular blocks
         c_full = np.vstack([g * s.C for s, g in zip(sensors, outcomes)])
@@ -312,8 +312,8 @@ def test_singular_noise_sensor_dropped_on_some_steps():
     decoded = [[rng.normal(0, 1, s.d_y) if outcomes[i, k] else None
                 for i, s in enumerate(sensors)] for k in range(h)]
     states = run_filter(model, sensors, codecs, outcomes, decoded)
-    rdec = decoding_noise(sensors, codecs)
     fusion = FusionFilter(model, sensors)
+    rdec = decoding_noise(codecs, fusion.channel)
     x, p = model.x0_mean, model.P0
     for k in range(h):
         if k > 0:

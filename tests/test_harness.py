@@ -532,6 +532,39 @@ def test_outputs_independent_of_workers_and_blocks(trials, tmp_path):
     assert outputs[1] == outputs[0] and outputs[2] == outputs[0]
 
 
+
+@pytest.mark.parametrize("cpus, workers, want", [(2, 3000, [2]), (None, 3000, []),
+                                                 (1, 4, []), (64, 3000, [8]), (64, 3, [3])])
+def test_worker_pool_capped_at_cpu_count(monkeypatch, cpus, workers, want):
+    # the pool starts all its processes up front, so it must not take --workers
+    # at its word, and a one-process pool runs in this process instead; a fake
+    # pool records its size and maps in-process, so no process is started, and
+    # the results match one worker's
+    import concurrent.futures
+    import os
+
+    sizes = []
+
+    class FakePool:
+        def __init__(self, max_workers):
+            sizes.append(max_workers)
+
+        def __enter__(self):
+            return self
+
+        def __exit__(self, *exc):
+            return False
+
+        map = staticmethod(map)
+
+    monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", FakePool)
+    monkeypatch.setattr(os, "cpu_count", lambda: cpus)
+    sc = scalar_scenario(trials=8, horizon=5)
+    res, ref = run_monte_carlo(sc, workers=workers), run_monte_carlo(sc, workers=1)
+    assert sizes == want
+    for name in ("mse_legit", "mse_eve", "emp_cov_trace", "events"):
+        assert getattr(res, name).tobytes() == getattr(ref, name).tobytes(), name
+
 def assert_named_trial_fails_alone(sc, workers, error, pattern):
     """The run names a failing trial, and that trial alone raises the same message.
 

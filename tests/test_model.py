@@ -1,7 +1,14 @@
+from unittest import mock
+
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
-from ppfe.model import SensorModel, SystemModel, from_config, simulate_plant, three_tank_preset
+from ppfe.analysis import BoundParams, hadamard_weight, inflation_diag
+from ppfe.codec import CodecParams
+from ppfe.estimator import FusionFilter, decoding_noise, run_filter
+from ppfe.model import (SensorModel, SystemModel, from_config, simulate_plant, simulate_plants,
+                        three_tank_preset)
 from ppfe.rng import substream
 
 
@@ -142,3 +149,74 @@ def test_input_sequence_per_step():
     assert model.input_at(2)[0] == 3.0
     with pytest.raises(IndexError):
         model.input_at(3)
+
+
+@settings(max_examples=40, deadline=None)
+@given(dims=st.lists(st.integers(1, 3), min_size=1, max_size=4), seed=st.integers(0, 2 ** 32 - 1))
+def test_stacked_layout_matches_per_sensor_references(dims, seed):
+    # every user of the stacked layout indexes by the row -> sensor map of
+    # stack_sensors; each must equal the per-sensor construction, byte for byte
+    rng = np.random.default_rng(seed)
+    d_x, n, s = 3, len(dims), 1.5
+    cols = np.cumsum([0, *dims])
+    sensors = []
+    for d_y in dims:
+        m = rng.normal(size=(d_y, d_y))
+        sensors.append(SensorModel(C=rng.normal(size=(d_y, d_x)), R=m @ m.T + 0.1 * np.eye(d_y)))
+    model = SystemModel(A=0.9 * np.eye(d_x), Q=np.eye(d_x), x0_mean=np.zeros(d_x), P0=np.eye(d_x))
+    gamma, rates = rng.uniform(0.1, 0.99, n), rng.uniform(0.01, 0.9, n)
+    codecs = [CodecParams(a=2.0, delta=float(d), s=s) for d in rng.uniform(1e-3, 0.1, n)]
+
+    def blocks(mats, fill=0.0):
+        out = np.full((cols[-1], cols[-1]), fill)
+        for i, m in enumerate(mats):
+            out[cols[i]:cols[i + 1], cols[i]:cols[i + 1]] = m
+        return out
+
+    c_ref, r_ref = np.vstack([sn.C for sn in sensors]), blocks([sn.r_eff for sn in sensors])
+    fusion = FusionFilter(model, sensors)
+    params = BoundParams(A=model.A, qeff=model.qeff, sensors=sensors, gamma_bar=gamma, s=s,
+                         distortion_rates=rates)
+    for c, r in ((fusion.C, fusion.R), (params.c_stack, params.r_block)):
+        assert c.tobytes() == c_ref.tobytes() and r.tobytes() == r_ref.tobytes()
+    channel = fusion.channel
+    assert channel.tolist() == params.channel.tolist() == [i for i, m in enumerate(dims)
+                                                            for _ in range(m)]
+    weight_ref = blocks([np.full((m, m), 1.0 / g) for g, m in zip(gamma, dims)], fill=1.0)
+    assert hadamard_weight(gamma, channel).tobytes() == params.weight.tobytes() == weight_ref.tobytes()
+    per_sensor = inflation_diag(rates, s, np.arange(n))
+    assert inflation_diag(rates, s, channel).tobytes() == np.repeat(per_sensor, dims).tobytes()
+    rdec_ref = np.concatenate([np.full(m, c.s ** 2 * c.delta ** 2 / 4.0)
+                               for m, c in zip(dims, codecs)])
+    assert decoding_noise(codecs, channel).tobytes() == rdec_ref.tobytes()
+
+    # run_filter places sensor i's decoded vector and realized-q variance on its rows
+    h = 3
+    outcomes = rng.integers(0, 2, (n, h))
+    decoded = [[rng.normal(size=m) if outcomes[i, k] else None for i, m in enumerate(dims)]
+               for k in range(h)]
+    q_values = [[rng.uniform(size=m) if outcomes[i, k] and rng.random() < 0.5 else None
+                 for i, m in enumerate(dims)] for k in range(h)]
+    y_ref, q_ref = np.zeros((h, cols[-1])), np.tile(rdec_ref, (h, 1))
+    for k in range(h):
+        for i in np.flatnonzero(outcomes[:, k]):
+            y_ref[k, cols[i]:cols[i + 1]] = decoded[k][i]
+            if q_values[k][i] is not None:
+                q = q_values[k][i]
+                q_ref[k, cols[i]:cols[i + 1]] = s ** 2 * q * (1.0 - q) * codecs[i].delta ** 2
+    seen, update = [], FusionFilter.update
+
+    def spy(self, x, P, y, received, rdec):
+        seen.append((y[0].copy(), rdec.copy()))
+        return update(self, x, P, y, received, rdec)
+
+    with mock.patch.object(FusionFilter, "update", spy):
+        run_filter(model, sensors, codecs, outcomes, decoded, q_values)
+    assert np.stack([y for y, _ in seen]).tobytes() == y_ref.tobytes()
+    assert np.stack([r for _, r in seen]).tobytes() == q_ref.tobytes()
+
+    # simulate_plant hands sensor i its own columns of the stacked measurements
+    traj = simulate_plant(model, sensors, h, np.random.default_rng(seed))
+    meas = simulate_plants(model, sensors, h, [np.random.default_rng(seed)])[1][0]
+    for i in range(n):
+        assert traj.measurements[i].tobytes() == meas[:, cols[i]:cols[i + 1]].tobytes()
