@@ -19,10 +19,9 @@ from .codec import (CodecOverflowError, CodecParams, CodecState, EncodedPacket,
                     ack, bootstrap_state, decode, eavesdrop_decode, encode, quantize)
 from .estimator import ConditioningError, FusionFilter, run_filter
 from .harness import (BlockResult, RunResult, Scenario, build_worst_case,
-                      compute_bound, detect_critical_events, load_scenario,
-                      run_block, run_monte_carlo, scenario_from_dict,
-                      scenario_preset, secrecy_report, write_events_csv,
-                      write_mse_csv)
+                      compute_bound, detect_critical_events, run_block,
+                      run_monte_carlo, scenario_from_dict, scenario_preset,
+                      secrecy_report, write_events_csv, write_mse_csv)
 from .model import (SensorModel, SystemModel, Trajectory, from_config, simulate_plant,
                     simulate_plants, three_tank_preset)
 from .rng import substream

@@ -16,6 +16,9 @@ from .model import SensorModel, psd_factor, stack_sensors, symmetrize
 
 GAMMA_CAP = 1.0 - 1e-9
 DIVERGENCE_TRACE = 1e12
+# pbh_unit_circle: distance that puts an eigenvalue on the unit circle; rank cut-off
+PBH_EIG_TOL = 1e-8
+PBH_RANK_RTOL = 1e-10
 
 
 def cap_gamma(gamma_bar) -> np.ndarray:
@@ -290,8 +293,7 @@ def capacity_condition(a: np.ndarray, gamma_bar) -> dict:
     }
 
 
-def pbh_unit_circle(a: np.ndarray, qeff: np.ndarray,
-                    eig_tol: float = 1e-8, rank_rtol: float = 1e-10) -> dict:
+def pbh_unit_circle(a: np.ndarray, qeff: np.ndarray) -> dict:
     """Rank test of [A - lambda I, B] at unit-circle eigenvalues, B B^T = qeff.
 
     Rank can only drop at eigenvalues of A, so checking the finitely many
@@ -301,12 +303,12 @@ def pbh_unit_circle(a: np.ndarray, qeff: np.ndarray,
     d = a.shape[0]
     b = psd_factor(qeff)
     eigs = np.linalg.eigvals(a)
-    unit = [complex(l) for l in eigs if abs(abs(l) - 1.0) < eig_tol]
+    unit = [complex(l) for l in eigs if abs(abs(l) - 1.0) < PBH_EIG_TOL]
     failures = []
     for lam in unit:
         block = np.hstack([a - lam * np.eye(d), b.astype(complex)])
         sv = np.linalg.svd(block, compute_uv=False)
-        rank = int(np.sum(sv > rank_rtol * sv[0])) if sv[0] > 0.0 else 0
+        rank = int(np.sum(sv > PBH_RANK_RTOL * sv[0])) if sv[0] > 0.0 else 0
         if rank < d:
             failures.append(lam)
     return {

@@ -15,8 +15,8 @@ from pathlib import Path
 import numpy as np
 
 from . import analysis, codec
-from .harness import (compute_bound, fmt17, load_scenario, run_monte_carlo,
-                      scenario_preset, secrecy_report, write_events_csv, write_mse_csv)
+from .harness import (compute_bound, fmt17, run_monte_carlo, scenario_from_dict,
+                      secrecy_report, write_events_csv, write_mse_csv)
 
 USAGE_ERROR = 2
 RUNTIME_ERROR = 1
@@ -52,31 +52,29 @@ _FLAGS = {
 def _resolve_scenario(args, bound: bool = False, seeded: bool = False):
     """Scenario from --preset/--scenario plus flag overrides; config faults are usage errors.
 
-    With `bound`, the scenario's bound parameters are built here too, so a
-    sensor the bound cannot whiten fails before any trial runs. Only a
-    `seeded` command (one that takes --seed) reads $PPFE_SEED.
+    The preset name or the parsed file becomes one configuration dict, the
+    flags that are set go on top, and `scenario_from_dict` builds it. With
+    `bound`, the scenario's bound parameters are built here too, so a sensor
+    the bound cannot whiten fails before any trial runs. Only a `seeded`
+    command (one that takes --seed) reads $PPFE_SEED.
     """
-    from dataclasses import replace
-
     if bool(args.preset) == bool(args.scenario):
         raise UsageError("exactly one of --preset or --scenario is required")
-    try:
-        if args.preset:
-            scenario = scenario_preset(args.preset, seed=_seed(args) if seeded else 0)
-        else:
-            scenario = load_scenario(args.scenario)
-    except (ValueError, KeyError, TypeError, OSError, json.JSONDecodeError) as exc:
-        raise UsageError(f"bad scenario configuration: {exc}") from exc
-    overrides = {key: value for key in ("seed", "horizon", "trials")
-                 if (value := getattr(args, key)) is not None}
     if args.workers < 1:
         raise UsageError("--workers must be >= 1")
     try:
-        scenario = replace(scenario, **overrides) if overrides else scenario
+        if args.preset:
+            cfg = {"preset": args.preset, "seed": _seed(args) if seeded else 0}
+        else:
+            with open(args.scenario) as fh:
+                cfg = json.load(fh)
+        flags = {key: value for key in ("seed", "horizon", "trials")
+                 if (value := getattr(args, key)) is not None}
+        scenario = scenario_from_dict({**cfg, **flags})
         if bound:
             scenario.bound_params
         return scenario
-    except ValueError as exc:
+    except (ValueError, KeyError, TypeError, OSError, json.JSONDecodeError) as exc:
         raise UsageError(f"bad scenario configuration: {exc}") from exc
 
 
@@ -187,7 +185,7 @@ def build_parser() -> argparse.ArgumentParser:
         ("simulate", cmd_simulate, "run a Monte Carlo experiment and write mse/events/summary",
          ("--seed", "--horizon", "--trials", "--workers")),
         ("bound", cmd_bound, "iterate the covariance bound and report its verdict",
-         ("--horizon", "--trials", "--tol")),
+         ("--horizon", "--tol")),
         ("conditions", cmd_conditions, "capacity/entropy and unit-circle PBH reports", ()),
         ("quantizer-test", cmd_quantizer_test, "run the quantizer statistical suite", ("--seed",)),
     ):

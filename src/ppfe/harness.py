@@ -5,10 +5,9 @@ mean error) empirically.
 """
 from __future__ import annotations
 
-import json
 import math
 import os
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 from functools import cached_property
 from itertools import repeat
 
@@ -40,7 +39,8 @@ def fmt17(x: float) -> str:
 
 @dataclass(frozen=True)
 class Scenario:
-    """One complete experiment description, deterministic given `seed`."""
+    """One complete experiment description, deterministic given `seed`. Every
+    value is checked and converted here, whichever route built it."""
 
     model: SystemModel
     sensors: tuple[SensorModel, ...]
@@ -63,13 +63,17 @@ class Scenario:
 
     def __post_init__(self):
         m = len(self.sensors)
-        for label, arr in (("gamma_bar", self.gamma_bar), ("gamma_bar_eve", self.gamma_bar_eve),
-                           ("a", self.a), ("delta", self.delta)):
-            v = np.atleast_1d(np.asarray(arr, dtype=float))
-            if v.size != m:
-                raise ValueError(f"{label} must have one entry per channel ({m})")
+        for label in ("gamma_bar", "gamma_bar_eve", "a", "delta"):
+            v = np.array(getattr(self, label), dtype=float, ndmin=1)
+            if v.shape != (m,):
+                raise ValueError(f"{label} must have one entry per channel, shape ({m},), "
+                                 f"got shape {v.shape}")
             v.setflags(write=False)
             object.__setattr__(self, label, v)
+        for key in ("transparent_quantizer", "track_eavesdropper"):
+            if not isinstance(getattr(self, key), bool):
+                raise ValueError(f"{key} must be true or false, got {getattr(self, key)!r}")
+        object.__setattr__(self, "s", float(self.s))
         object.__setattr__(self, "sensors", tuple(self.sensors))
         for key in ("horizon", "trials", "seed"):
             value = getattr(self, key)
@@ -93,7 +97,7 @@ class Scenario:
         self.model.inputs(self.horizon)
         object.__setattr__(self, "channel", ChannelModel(self.gamma_bar, self.gamma_bar_eve))
         object.__setattr__(self, "codecs", tuple(
-            CodecParams(a=float(a), delta=float(d), s=float(self.s))
+            CodecParams(a=float(a), delta=float(d), s=self.s)
             for a, d in zip(self.a, self.delta)))
 
     @property
@@ -123,86 +127,65 @@ _D_GROUPS = {
 }
 
 
-def scenario_preset(name: str, seed: int = 0, horizon: int = 500, trials: int = 200) -> Scenario:
-    """Named three-tank experiment groups.
+def _preset_fields(name) -> dict:
+    """Scenario fields of a named three-tank experiment group.
 
     The a-groups vary the growth bases at delta=0.01, s=1; the delta-groups
     vary the quantization steps at a=(5,5,5), s=1.
     """
-    model, sensors = three_tank_preset()
-    common = dict(
-        model=model, sensors=tuple(sensors),
-        gamma_bar=np.array(_TANK_GAMMA), gamma_bar_eve=np.array(_TANK_GAMMA_EVE),
-        s=1.0, horizon=horizon, trials=trials, seed=seed, name=name,
-    )
-    key = name.removeprefix("three-tank-group")
+    key = name.removeprefix("three-tank-group") if isinstance(name, str) else None
     if key in _A_GROUPS:
-        return Scenario(a=np.array(_A_GROUPS[key]), delta=np.full(3, 0.01), **common)
-    if key in _D_GROUPS:
-        return Scenario(a=np.full(3, 5.0), delta=np.array(_D_GROUPS[key]), **common)
-    known = [f"three-tank-group{k}" for k in (*_A_GROUPS, *_D_GROUPS)]
-    raise ValueError(f"unknown scenario preset {name!r}; known: {known}")
+        a, delta = _A_GROUPS[key], (0.01,) * 3
+    elif key in _D_GROUPS:
+        a, delta = (5.0,) * 3, _D_GROUPS[key]
+    else:
+        known = [f"three-tank-group{k}" for k in (*_A_GROUPS, *_D_GROUPS)]
+        raise ValueError(f"unknown scenario preset {name!r}; known: {known}")
+    model, sensors = three_tank_preset()
+    return dict(model=model, sensors=sensors, gamma_bar=_TANK_GAMMA, gamma_bar_eve=_TANK_GAMMA_EVE,
+                a=a, delta=delta, s=1.0, name=name)
 
 
-# keys that both scenario forms accept, passed through to Scenario
-_OPTIONAL_KEYS = ("eve_reference_policy", "transparent_quantizer", "track_eavesdropper", "name")
-_PRESET_KEYS = {"preset", "seed", "horizon", "trials", "outcome_override", "s", "a", "delta",
-                "gamma_bar", "gamma_bar_eve", *_OPTIONAL_KEYS}
-_FULL_KEYS = {"model", "channel", "codec", "seed", "horizon", "trials", "outcome_override",
-              *_OPTIONAL_KEYS}
+def scenario_preset(name: str, seed: int = 0, horizon: int = 500, trials: int = 200) -> Scenario:
+    """Named three-tank experiment groups (see `_preset_fields`)."""
+    return scenario_from_dict({"preset": name, "seed": seed, "horizon": horizon, "trials": trials})
 
 
-def _options(cfg: dict, allowed: set[str], form: str) -> dict:
-    """The optional Scenario fields of a configuration; unknown keys are errors."""
-    check_keys(cfg, allowed, f"a {form} scenario")
-    opts = {key: cfg[key] for key in _OPTIONAL_KEYS if key in cfg}
-    for key in ("transparent_quantizer", "track_eavesdropper"):
-        if not isinstance(opts.get(key, False), bool):
-            raise ValueError(f"{key} must be true or false, got {opts[key]!r}")
-    if "outcome_override" in cfg:
-        ov = cfg["outcome_override"]
-        check_keys(ov, {"auth", "wire"}, "outcome_override")
-        opts["outcome_override"] = OutcomeTrace(auth=np.asarray(ov["auth"]),
-                                                wire=np.asarray(ov["wire"]))
-    return opts
+# Scenario fields that both scenario forms take as top-level keys
+_OPTIONAL_KEYS = {"seed", "horizon", "trials", "outcome_override", "eve_reference_policy",
+                  "transparent_quantizer", "track_eavesdropper", "name"}
+_PRESET_KEYS = {"preset", "s", "a", "delta", "gamma_bar", "gamma_bar_eve", *_OPTIONAL_KEYS}
+_FULL_KEYS = {"model", "channel", "codec", *_OPTIONAL_KEYS}
 
 
 def scenario_from_dict(cfg: dict) -> Scenario:
-    """Build a Scenario from a parsed configuration tree."""
+    """Build a Scenario from a parsed configuration tree; unknown keys are errors.
+
+    The preset form applies its keys on top of the preset group's fields; the
+    full form maps `model`, `channel` and `codec` onto the same fields.
+    `Scenario` checks and converts every value.
+    """
     if "preset" in cfg and "model" not in cfg:
-        overrides = _options(cfg, _PRESET_KEYS, "preset")
-        base = scenario_preset(cfg["preset"], seed=cfg.get("seed", 0),
-                               horizon=cfg.get("horizon", 500), trials=cfg.get("trials", 200))
-        if "s" in cfg:
-            overrides["s"] = float(cfg["s"])
-        for key in ("a", "delta", "gamma_bar", "gamma_bar_eve"):
-            if key in cfg:
-                overrides[key] = np.asarray(cfg[key], dtype=float)
-        return replace(base, **overrides) if overrides else base
-    options = _options(cfg, _FULL_KEYS, "full")
-    model, sensors = from_config(cfg["model"])
-    chan = cfg["channel"]
-    codec = cfg["codec"]
-    check_keys(chan, {"gamma", "gamma_eve"}, "channel")
-    check_keys(codec, {"a", "delta", "s"}, "codec")
-    return Scenario(
-        model=model,
-        sensors=tuple(sensors),
-        gamma_bar=np.asarray(chan["gamma"], dtype=float),
-        gamma_bar_eve=np.asarray(chan["gamma_eve"], dtype=float),
-        a=np.asarray(codec["a"], dtype=float),
-        delta=np.asarray(codec["delta"], dtype=float),
-        s=float(codec["s"]),
-        horizon=cfg["horizon"],
-        trials=cfg.get("trials", 1),
-        seed=cfg.get("seed", 0),
-        **options,
-    )
-
-
-def load_scenario(path) -> Scenario:
-    with open(path) as fh:
-        return scenario_from_dict(json.load(fh))
+        check_keys(cfg, _PRESET_KEYS, "a preset scenario")
+        fields = {"seed": 0, "horizon": 500, "trials": 200, **_preset_fields(cfg["preset"])}
+    else:
+        check_keys(cfg, _FULL_KEYS, "a full scenario")
+        chan, codec = cfg["channel"], cfg["codec"]
+        check_keys(chan, {"gamma", "gamma_eve"}, "channel")
+        check_keys(codec, {"a", "delta", "s"}, "codec")
+        model, sensors = from_config(cfg["model"])
+        fields = {"seed": 0, "trials": 1, "horizon": cfg["horizon"], "model": model,
+                  "sensors": sensors, "gamma_bar": chan["gamma"], "gamma_bar_eve": chan["gamma_eve"],
+                  "a": codec["a"], "delta": codec["delta"], "s": codec["s"]}
+    # the keys check_keys let through, but the form's own, are Scenario fields
+    fields.update((key, value) for key, value in cfg.items()
+                  if key not in ("preset", "model", "channel", "codec"))
+    if "outcome_override" in cfg:
+        ov = cfg["outcome_override"]
+        check_keys(ov, {"auth", "wire"}, "outcome_override")
+        fields["outcome_override"] = OutcomeTrace(auth=np.asarray(ov["auth"]),
+                                                  wire=np.asarray(ov["wire"]))
+    return Scenario(**fields)
 
 
 def detect_critical_events(auth: np.ndarray, wire: np.ndarray) -> np.ndarray:

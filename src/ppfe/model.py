@@ -25,11 +25,11 @@ def block_diag(blocks) -> np.ndarray:
     return out
 
 
-def check_psd(m: np.ndarray, name: str, tol: float = PSD_EIG_TOL) -> np.ndarray:
-    """Symmetrize and require min eigenvalue >= -tol."""
+def check_psd(m: np.ndarray, name: str) -> np.ndarray:
+    """Symmetrize and require min eigenvalue >= -PSD_EIG_TOL."""
     s = symmetrize(np.asarray(m, dtype=float))
     lo = float(np.linalg.eigvalsh(s)[0])
-    if lo < -tol:
+    if lo < -PSD_EIG_TOL:
         raise ValueError(f"{name} is not positive semidefinite (min eigenvalue {lo:.3e})")
     return s
 
@@ -44,18 +44,24 @@ def psd_factor(sigma: np.ndarray) -> np.ndarray:
     return u * np.sqrt(w)
 
 
+def _finite(a: np.ndarray, name: str) -> np.ndarray:
+    if not np.isfinite(a).all():
+        raise ValueError(f"{name} must be finite")
+    return a
+
+
 def _matrix(x, name: str) -> np.ndarray:
     a = np.array(x, dtype=float)
     if a.ndim != 2:
         raise ValueError(f"{name} must be a 2-d matrix, got shape {a.shape}")
-    return a
+    return _finite(a, name)
 
 
 def _vector(x, name: str) -> np.ndarray:
     a = np.array(x, dtype=float)
     if a.ndim != 1:
         raise ValueError(f"{name} must be a 1-d vector, got shape {a.shape}")
-    return a
+    return _finite(a, name)
 
 
 def _lock(a: np.ndarray) -> np.ndarray:
@@ -96,7 +102,7 @@ class SystemModel:
         if B.shape[0] != d_x:
             raise ValueError("B must have d_x rows")
         d_u = B.shape[1]
-        u = np.zeros(d_u) if self.u is None else np.array(self.u, dtype=float)
+        u = np.zeros(d_u) if self.u is None else _finite(np.array(self.u, dtype=float), "u")
         if u.ndim not in (1, 2) or u.shape[-1] != d_u:
             raise ValueError(f"u must have trailing dimension {d_u}, got shape {u.shape}")
         x0 = _vector(self.x0_mean, "x0_mean")

@@ -1,10 +1,14 @@
 import json
+import math
 import os
 import subprocess
 import sys
 from pathlib import Path
 
+import numpy as np
 import pytest
+
+from ppfe.cli import main
 
 SRC = str(Path(__file__).resolve().parent.parent / "src")
 
@@ -142,7 +146,8 @@ def test_quantizer_test_passes():
                                   ("conditions", "--preset", "three-tank-groupA1", "--horizon", "7"),
                                   ("conditions", "--preset", "three-tank-groupA1", "--seed", "9"),
                                   ("bound", "--preset", "three-tank-groupA1", "--seed", "9"),
-                                  ("bound", "--preset", "three-tank-groupA1", "--workers", "2")])
+                                  ("bound", "--preset", "three-tank-groupA1", "--workers", "2"),
+                                  ("bound", "--preset", "three-tank-groupA1", "--trials", "5")])
 def test_flags_a_command_does_not_read_are_usage_errors(tmp_path, args):
     proc = run_cli(*args, "--out", str(tmp_path))
     assert proc.returncode == 2
@@ -288,8 +293,9 @@ def test_benchmark_setup_probe_reaches_a_layer(tmp_path, command):
     # perfbench/launch.py wraps names bound on ppfe.cli and ppfe.harness and exits 0
     # at the first call into one; a refactor that unbinds them makes it exit 3
     launch = Path(SRC).parent / "perfbench" / "launch.py"
+    trials = ("--trials", "1") if command == "simulate" else ()
     proc = subprocess.run([sys.executable, str(launch), "setup", "--", command, "--preset",
-                           "three-tank-groupA1", "--trials", "1", "--horizon", "20",
+                           "three-tank-groupA1", *trials, "--horizon", "20",
                            "--out", str(tmp_path)], capture_output=True, text=True)
     assert proc.returncode == 0, proc.stderr
 
@@ -359,3 +365,50 @@ def test_non_string_name_is_usage_error(tmp_path, form):
     lines = proc.stderr.strip().splitlines()
     assert len(lines) == 1 and "name must be a string, got [1, 2]" in lines[0], lines
     assert not out.exists()
+
+
+def config_fault(capsys, tmp_path, command, cfg) -> str:
+    """The one stderr line of a command that must stop at build with code 2 and no
+    output directory; run in this process, so a traceback fails the test."""
+    out = tmp_path / "out"
+    rc = main([command, "--scenario", write_scenario(tmp_path, cfg), "--out", str(out)])
+    lines = capsys.readouterr().err.strip().splitlines()
+    assert rc == 2 and len(lines) == 1, lines
+    assert not out.exists()
+    return lines[0]
+
+
+@pytest.mark.parametrize("preset", [5, None])
+def test_non_string_preset_is_usage_error(capsys, tmp_path, preset):
+    line = config_fault(capsys, tmp_path, "simulate", {"preset": preset})
+    assert f"unknown scenario preset {preset!r}" in line
+
+
+@pytest.mark.parametrize("command", ["simulate", "conditions"])
+@pytest.mark.parametrize("form", ["preset", "full"])
+@pytest.mark.parametrize("key", ["gamma", "a", "delta"])
+def test_two_dimensional_channel_array_is_usage_error(capsys, tmp_path, command, form, key):
+    # one row of M entries has M entries but is not one entry per channel
+    label = "gamma_bar" if key == "gamma" else key
+    if form == "preset":
+        cfg, m = {"preset": "three-tank-groupA1", label: [[0.9, 0.9, 0.9]]}, 3
+    else:
+        cfg, m = scalar_config(), 1
+        cfg["channel" if key == "gamma" else "codec"][key] = [[0.5]]
+    line = config_fault(capsys, tmp_path, command, cfg)
+    assert f"{label} must have one entry per channel, shape ({m},)" in line
+
+
+# a one-state model that sets every matrix and vector of the model format
+ONE_STATE = {"A": [[0.9]], "B": [[1.0]], "D": [[1.0]], "Q": [[0.04]], "P0": [[1.0]],
+             "x0_mean": [0.0], "u": [0.1], "C": [[1.0]], "R": [[0.09]], "E": [[1.0]]}
+
+
+@pytest.mark.parametrize("command", ["simulate", "bound", "conditions"])
+@pytest.mark.parametrize("key, value", [*((k, math.nan) for k in ONE_STATE), ("P0", math.inf)])
+def test_non_finite_model_entry_is_usage_error(capsys, tmp_path, command, key, value):
+    entries = dict(ONE_STATE, **{key: np.full(np.shape(ONE_STATE[key]), value).tolist()})
+    model = {k: v for k, v in entries.items() if k not in ("C", "R", "E")}
+    model["sensors"] = [{k: entries[k] for k in ("C", "R", "E")}]
+    line = config_fault(capsys, tmp_path, command, scalar_config(model=model))
+    assert f"{key} must be finite" in line

@@ -1,7 +1,7 @@
 import json
 import math
 import re
-from dataclasses import replace
+from dataclasses import fields, is_dataclass, replace
 from pathlib import Path
 from types import SimpleNamespace
 
@@ -430,6 +430,60 @@ def test_scenario_validation():
         scalar_scenario(eve_reference_policy="psychic")
     with pytest.raises(ValueError):
         scalar_scenario(outcome_override=OutcomeTrace(auth=[[1, 1]], wire=[[1, 1]]))
+    with pytest.raises(ValueError, match=r"a must have one entry per channel, shape \(1,\)"):
+        scalar_scenario(a=[[2.0]])
+
+
+def test_library_switch_check_matches_file_form():
+    # Scenario itself checks the switches, so a library caller gets the file form's message
+    with pytest.raises(ValueError) as lib:
+        scalar_scenario(track_eavesdropper=0)
+    cfg = {"model": {"A": [[0.9]], "Q": [[0.04]], "x0_mean": [0.0], "P0": [[1.0]],
+                     "sensors": [{"C": [[1.0]], "R": [[0.09]]}]},
+           "channel": {"gamma": [0.9], "gamma_eve": [0.8]},
+           "codec": {"a": [2.0], "delta": [0.01], "s": 1.0}, "horizon": 30,
+           "track_eavesdropper": 0}
+    with pytest.raises(ValueError) as file_form:
+        scenario_from_dict(cfg)
+    assert str(lib.value) == str(file_form.value) == "track_eavesdropper must be true or false, got 0"
+
+
+def same_fields(x, y) -> bool:
+    """Field-by-field equality through dataclasses, tuples and arrays (dtype included)."""
+    if is_dataclass(x):
+        return type(x) is type(y) and all(same_fields(getattr(x, f.name), getattr(y, f.name))
+                                          for f in fields(x) if f.init)
+    if isinstance(x, (tuple, list)):
+        return len(x) == len(y) and all(map(same_fields, x, y))
+    if isinstance(x, np.ndarray):
+        return x.dtype == y.dtype and np.array_equal(x, y)
+    return type(x) is type(y) and x == y
+
+
+@pytest.mark.parametrize("preset", [f"three-tank-group{g}" for g in
+                                    ("A1", "A2", "A3", "D1", "D2", "D3")])
+def test_preset_builder_equals_preset_form(preset):
+    built = scenario_preset(preset, seed=3, horizon=40, trials=5)
+    parsed = scenario_from_dict({"preset": preset, "seed": 3, "horizon": 40, "trials": 5})
+    assert same_fields(built, parsed)
+    assert not same_fields(built, scenario_preset(preset, seed=4, horizon=40, trials=5))
+
+
+def test_full_form_three_tank_runs_like_preset_form():
+    # the full form spelling out group A1 gives byte-equal block outputs
+    counts = {"seed": 11, "horizon": 60, "trials": 4}
+    full = scenario_from_dict({
+        "model": {"preset": "three-tank"},
+        "channel": {"gamma": [0.9, 0.95, 0.85], "gamma_eve": [0.9, 0.85, 0.95]},
+        "codec": {"a": [0.5, 0.5, 5.0], "delta": [0.01, 0.01, 0.01], "s": 1},
+        **counts})
+    preset = scenario_from_dict({"preset": "three-tank-groupA1", **counts})
+    ours, theirs = run_block(full, 0, 4), run_block(preset, 0, 4)
+    for f in fields(ours):
+        mine, ref = getattr(ours, f.name), getattr(theirs, f.name)
+        assert mine.dtype == ref.dtype and mine.shape == ref.shape, f.name
+        assert mine.tobytes() == ref.tobytes(), f.name
+    assert len(ours.events) > 0 and (ours.eve_saturated_at < 60).any()
 
 
 # ---------------------------------------------------------------- csv output
