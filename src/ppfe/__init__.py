@@ -13,8 +13,7 @@ from .analysis import (BoundParams, BoundSequence, capacity_condition, distortio
                        gain_floor, hadamard_weight, inflation_diag, iterate_bound,
                        mahler_entropy, noise_domination_check, pbh_unit_circle,
                        retention_scalar, riccati_map)
-from .channel import (ChannelModel, OutcomeTrace, channel_capacity, sample_outcomes,
-                      total_capacity)
+from .channel import channel_capacity, sample_outcomes, total_capacity
 from .codec import (CodecOverflowError, CodecParams, CodecState, EncodedPacket,
                     ack, bootstrap_state, decode, eavesdrop_decode, encode, quantize)
 from .estimator import ConditioningError, FusionFilter, run_filter

@@ -2,67 +2,19 @@
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 
 import numpy as np
 
 
-@dataclass(frozen=True)
-class ChannelModel:
-    """Per-channel reception probabilities for the authorized and wiretap links."""
-
-    gamma_bar: np.ndarray
-    gamma_bar_eve: np.ndarray
-
-    def __post_init__(self):
-        g = np.atleast_1d(np.asarray(self.gamma_bar, dtype=float))
-        ge = np.atleast_1d(np.asarray(self.gamma_bar_eve, dtype=float))
-        if g.size < 1 or g.shape != ge.shape:
-            raise ValueError("need one authorized and one wiretap probability per channel")
-        for name, p in (("gamma_bar", g), ("gamma_bar_eve", ge)):
-            if not np.all((p > 0.0) & (p <= 1.0)):
-                raise ValueError(f"{name} entries must lie in (0, 1]")
-        g.setflags(write=False)
-        ge.setflags(write=False)
-        object.__setattr__(self, "gamma_bar", g)
-        object.__setattr__(self, "gamma_bar_eve", ge)
-
-    @property
-    def n_channels(self) -> int:
-        return self.gamma_bar.size
-
-
-@dataclass(frozen=True)
-class OutcomeTrace:
-    """One trial's checked (M, horizon) reception bits in {0, 1}: outcomes from outside."""
-
-    auth: np.ndarray
-    wire: np.ndarray
-
-    def __post_init__(self):
-        a = np.asarray(self.auth)
-        w = np.asarray(self.wire)
-        if a.ndim != 2 or a.shape != w.shape:
-            raise ValueError("auth and wire must be matching (M, horizon) matrices")
-        for name, m in (("auth", a), ("wire", w)):
-            if not np.isin(m, (0, 1)).all():
-                raise ValueError(f"{name} entries must be 0 or 1")
-        a = a.astype(np.uint8)
-        w = w.astype(np.uint8)
-        a.setflags(write=False)
-        w.setflags(write=False)
-        object.__setattr__(self, "auth", a)
-        object.__setattr__(self, "wire", w)
-
-
-def sample_outcomes(chan: ChannelModel, horizon: int, rngs) -> np.ndarray:
+def sample_outcomes(gamma_bar, gamma_bar_eve, horizon: int, rngs) -> np.ndarray:
     """i.i.d. Bernoulli receptions of a block, one generator per trial: a bool array
-    (2, B, M, horizon) of authorized, then wiretap receptions. Each trial's generator
-    spawns one stream per link, which draws its (M, horizon) uniforms in one call."""
+    (2, B, M, horizon) of authorized, then wiretap receptions, with per-channel
+    probabilities `gamma_bar` and `gamma_bar_eve`. Each trial's generator spawns one
+    stream per link, which draws its (M, horizon) uniforms in one call."""
     if horizon < 1:
         raise ValueError("horizon must be >= 1")
-    out = np.empty((2, len(rngs), chan.n_channels, horizon), dtype=bool)
-    probs = (chan.gamma_bar[:, None], chan.gamma_bar_eve[:, None])
+    probs = [np.asarray(p, dtype=float)[:, None] for p in (gamma_bar, gamma_bar_eve)]
+    out = np.empty((2, len(rngs), len(probs[0]), horizon), dtype=bool)
     for t, rng in enumerate(rngs):
         for link, stream, p in zip(out, rng.spawn(2), probs):
             np.less(stream.random(link.shape[1:]), p, out=link[t])

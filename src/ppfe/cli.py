@@ -62,12 +62,16 @@ def _resolve_scenario(args, bound: bool = False, seeded: bool = False):
         raise UsageError("exactly one of --preset or --scenario is required")
     if args.workers < 1:
         raise UsageError("--workers must be >= 1")
+    if not 0.0 < args.tol < math.inf:
+        raise UsageError(f"--tol must be positive and finite, got {args.tol}")
     try:
         if args.preset:
             cfg = {"preset": args.preset, "seed": _seed(args) if seeded else 0}
         else:
             with open(args.scenario) as fh:
                 cfg = json.load(fh)
+            if not isinstance(cfg, dict):
+                raise ValueError(f"the scenario must be an object, got {cfg!r:.60}")
         flags = {key: value for key in ("seed", "horizon", "trials")
                  if (value := getattr(args, key)) is not None}
         scenario = scenario_from_dict({**cfg, **flags})

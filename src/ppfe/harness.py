@@ -14,12 +14,12 @@ from itertools import repeat
 import numpy as np
 
 from .analysis import BoundParams, BoundSequence, cap_gamma, iterate_bound
-from .channel import ChannelModel, OutcomeTrace, sample_outcomes
+from .channel import sample_outcomes
 from .codec import (CodecOverflowError, CodecParams, growth_factors, reconstruct,
                     reference_residual, round_to_lattice)
 from .estimator import ConditioningError, FusionFilter, decoding_noise
-from .model import (SensorModel, SystemModel, check_keys, from_config, simulate_plants,
-                    three_tank_preset)
+from .model import (SensorModel, SystemModel, as_floats, check_keys, from_config,
+                    simulate_plants, three_tank_preset)
 from .rng import substream
 
 EVE_SATURATION = 1e15
@@ -52,28 +52,34 @@ class Scenario:
     horizon: int
     trials: int
     seed: int
-    outcome_override: OutcomeTrace | None = None
+    # receptions every trial uses instead of sampled ones: (2, M, horizon) bits,
+    # authorized then wiretap, in the layout of one trial of `sample_outcomes`
+    outcome_override: np.ndarray | None = None
     eve_reference_policy: str = "own"  # "own" | "legit-time"
     transparent_quantizer: bool = False
     track_eavesdropper: bool = True
     name: str = ""
-    # derived in __post_init__; building them validates the channel and codec entries
-    channel: ChannelModel = field(init=False, repr=False, compare=False)
+    # derived in __post_init__; building them validates the codec entries
     codecs: tuple[CodecParams, ...] = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         m = len(self.sensors)
         for label in ("gamma_bar", "gamma_bar_eve", "a", "delta"):
-            v = np.array(getattr(self, label), dtype=float, ndmin=1)
+            v = as_floats(getattr(self, label), label, ndmin=1)
             if v.shape != (m,):
                 raise ValueError(f"{label} must have one entry per channel, shape ({m},), "
                                  f"got shape {v.shape}")
+            if label.startswith("gamma") and not np.all((v > 0.0) & (v <= 1.0)):
+                raise ValueError(f"{label} entries must lie in (0, 1], got {v.tolist()}")
             v.setflags(write=False)
             object.__setattr__(self, label, v)
         for key in ("transparent_quantizer", "track_eavesdropper"):
             if not isinstance(getattr(self, key), bool):
                 raise ValueError(f"{key} must be true or false, got {getattr(self, key)!r}")
-        object.__setattr__(self, "s", float(self.s))
+        try:
+            object.__setattr__(self, "s", float(self.s))
+        except (TypeError, ValueError):
+            raise ValueError(f"s must be a number, got {self.s!r}") from None
         object.__setattr__(self, "sensors", tuple(self.sensors))
         for key in ("horizon", "trials", "seed"):
             value = getattr(self, key)
@@ -92,17 +98,22 @@ class Scenario:
         if self.eve_reference_policy not in ("own", "legit-time"):
             raise ValueError("eve_reference_policy must be 'own' or 'legit-time'")
         if self.outcome_override is not None:
-            if self.outcome_override.auth.shape != (m, self.horizon):
-                raise ValueError("outcome override must be (M, horizon)")
+            want = f"outcome_override must be (auth, wire) bits of shape (2, {m}, {self.horizon})"
+            try:
+                ov = np.array(self.outcome_override)
+            except (TypeError, ValueError) as exc:
+                raise ValueError(f"{want}: {exc}") from None
+            if ov.shape != (2, m, self.horizon):
+                raise ValueError(f"{want}, got shape {ov.shape}")
+            if not np.isin(ov, (0, 1)).all():
+                raise ValueError(f"{want}, got an entry other than 0 or 1")
+            ov = ov == 1
+            ov.setflags(write=False)
+            object.__setattr__(self, "outcome_override", ov)
         self.model.inputs(self.horizon)
-        object.__setattr__(self, "channel", ChannelModel(self.gamma_bar, self.gamma_bar_eve))
         object.__setattr__(self, "codecs", tuple(
             CodecParams(a=float(a), delta=float(d), s=self.s)
             for a, d in zip(self.a, self.delta)))
-
-    @property
-    def n_channels(self) -> int:
-        return len(self.sensors)
 
     @cached_property
     def bound_params(self) -> BoundParams:
@@ -165,7 +176,7 @@ def scenario_from_dict(cfg: dict) -> Scenario:
     full form maps `model`, `channel` and `codec` onto the same fields.
     `Scenario` checks and converts every value.
     """
-    if "preset" in cfg and "model" not in cfg:
+    if isinstance(cfg, dict) and "preset" in cfg and "model" not in cfg:
         check_keys(cfg, _PRESET_KEYS, "a preset scenario")
         fields = {"seed": 0, "horizon": 500, "trials": 200, **_preset_fields(cfg["preset"])}
     else:
@@ -183,8 +194,7 @@ def scenario_from_dict(cfg: dict) -> Scenario:
     if "outcome_override" in cfg:
         ov = cfg["outcome_override"]
         check_keys(ov, {"auth", "wire"}, "outcome_override")
-        fields["outcome_override"] = OutcomeTrace(auth=np.asarray(ov["auth"]),
-                                                  wire=np.asarray(ov["wire"]))
+        fields["outcome_override"] = (ov.get("auth"), ov.get("wire"))
     return Scenario(**fields)
 
 
@@ -200,16 +210,16 @@ def detect_critical_events(auth: np.ndarray, wire: np.ndarray) -> np.ndarray:
     return np.column_stack((hits, heard_after[tuple(hits.T)]))
 
 
-def build_worst_case(n_channels: int, horizon: int, channel: int, k_bar: int) -> OutcomeTrace:
-    """Authorized link lossless; wiretap misses exactly (channel, k_bar)."""
+def build_worst_case(n_channels: int, horizon: int, channel: int, k_bar: int) -> np.ndarray:
+    """An `outcome_override`, (2, n_channels, horizon) bool: the authorized link is
+    lossless and the wiretap misses exactly (channel, k_bar)."""
     if not 0 <= k_bar < horizon:
         raise ValueError("k_bar must lie in [0, horizon)")
     if not 0 <= channel < n_channels:
         raise ValueError("channel index out of range")
-    auth = np.ones((n_channels, horizon), dtype=np.uint8)
-    wire = np.ones((n_channels, horizon), dtype=np.uint8)
-    wire[channel, k_bar] = 0
-    return OutcomeTrace(auth=auth, wire=wire)
+    bits = np.ones((2, n_channels, horizon), dtype=bool)
+    bits[1, channel, k_bar] = False
+    return bits
 
 
 @dataclass
@@ -257,11 +267,10 @@ def run_block(scenario: Scenario, start: int, stop: int) -> BlockResult:
     states, meas = simulate_plants(model, sensors, h, [substream(seed, "plant", t) for t in trials])
     ov = scenario.outcome_override
     if ov is None:
-        outcomes = sample_outcomes(scenario.channel, h,
+        outcomes = sample_outcomes(scenario.gamma_bar, scenario.gamma_bar_eve, h,
                                    [substream(seed, "channel", t) for t in trials])
     else:
-        outcomes = np.broadcast_to(np.stack((ov.auth, ov.wire))[:, None] == 1,
-                                   (2, b, *ov.auth.shape))
+        outcomes = np.broadcast_to(ov[:, None], (2, b, *ov.shape[1:]))
     events = detect_critical_events(*outcomes[:, :n]) + (start, 0, 0, 0)  # numbered in the run
     if not transparent:
         uniforms = np.stack([substream(seed, "quantizer", t).random((h, ch.size)) for t in trials])
@@ -453,7 +462,8 @@ def secrecy_report(result: RunResult, scenario: Scenario) -> dict:
          trace plus 3 standard errors at every step, and the bound is bounded;
     (ii) the eavesdropper mean-error norm grows geometrically at rate at
          least ln(min{a_i > 1}) - 0.05 past the first critical event, or the
-         divergence flag tripped.
+         divergence flag tripped; without a tracked eavesdropper it is not
+         measured and does not hold.
     """
     if result.bound_trace is None or result.bound is None:
         raise ValueError("result must carry a bound trace (compute_bound_trace=True)")
@@ -476,6 +486,8 @@ def secrecy_report(result: RunResult, scenario: Scenario) -> dict:
         crit_ii, mode = True, "diverged-flag"
     elif not growing:
         crit_ii, mode = False, "no-growth-channel"
+    elif not scenario.track_eavesdropper:
+        crit_ii, mode = False, "eavesdropper-not-tracked"
     else:
         growth_events = result.events[scenario.a[result.events[:, 1]] > 1.0, 2]
         if not growth_events.size:

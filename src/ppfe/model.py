@@ -44,6 +44,14 @@ def psd_factor(sigma: np.ndarray) -> np.ndarray:
     return u * np.sqrt(w)
 
 
+def as_floats(x, name: str, ndmin: int = 0) -> np.ndarray:
+    """A new float array of `x`; a value numpy cannot convert is a fault naming `name`."""
+    try:
+        return np.array(x, dtype=float, ndmin=ndmin)
+    except (TypeError, ValueError) as exc:
+        raise ValueError(f"{name} must hold numbers: {exc}") from None
+
+
 def _finite(a: np.ndarray, name: str) -> np.ndarray:
     if not np.isfinite(a).all():
         raise ValueError(f"{name} must be finite")
@@ -51,14 +59,14 @@ def _finite(a: np.ndarray, name: str) -> np.ndarray:
 
 
 def _matrix(x, name: str) -> np.ndarray:
-    a = np.array(x, dtype=float)
+    a = as_floats(x, name)
     if a.ndim != 2:
         raise ValueError(f"{name} must be a 2-d matrix, got shape {a.shape}")
     return _finite(a, name)
 
 
 def _vector(x, name: str) -> np.ndarray:
-    a = np.array(x, dtype=float)
+    a = as_floats(x, name)
     if a.ndim != 1:
         raise ValueError(f"{name} must be a 1-d vector, got shape {a.shape}")
     return _finite(a, name)
@@ -102,7 +110,7 @@ class SystemModel:
         if B.shape[0] != d_x:
             raise ValueError("B must have d_x rows")
         d_u = B.shape[1]
-        u = np.zeros(d_u) if self.u is None else _finite(np.array(self.u, dtype=float), "u")
+        u = np.zeros(d_u) if self.u is None else _finite(as_floats(self.u, "u"), "u")
         if u.ndim not in (1, 2) or u.shape[-1] != d_u:
             raise ValueError(f"u must have trailing dimension {d_u}, got shape {u.shape}")
         x0 = _vector(self.x0_mean, "x0_mean")
@@ -289,7 +297,10 @@ MODEL_PRESETS = {
 
 
 def check_keys(cfg: dict, allowed: set[str], where: str) -> None:
-    """Reject the keys of a configuration object that `allowed` does not name."""
+    """Reject a configuration value that is not an object, and the keys of one
+    that `allowed` does not name."""
+    if not isinstance(cfg, dict):
+        raise ValueError(f"{where} must be an object, got {cfg!r:.60}")
     unknown = sorted(set(cfg) - allowed)
     if unknown:
         raise ValueError(f"unknown key(s) {unknown} in {where}; allowed: {sorted(allowed)}")
@@ -302,7 +313,7 @@ def from_config(cfg: dict) -> tuple[SystemModel, list[SensorModel]]:
     {"A": ..., "Q": ..., "x0_mean": ..., "P0": ..., "B"?, "D"?, "u"?,
      "sensors": [{"C": ..., "R": ..., "E"?}, ...]}.
     """
-    if "preset" in cfg:
+    if isinstance(cfg, dict) and "preset" in cfg:
         check_keys(cfg, {"preset"}, "a model preset")
         name = cfg["preset"]
         try:
@@ -310,6 +321,8 @@ def from_config(cfg: dict) -> tuple[SystemModel, list[SensorModel]]:
         except KeyError:
             raise ValueError(f"unknown model preset {name!r}; known: {sorted(MODEL_PRESETS)}") from None
     check_keys(cfg, {"A", "Q", "x0_mean", "P0", "B", "D", "u", "sensors"}, "model")
+    if not isinstance(cfg.get("sensors", []), list):
+        raise ValueError(f"model sensors must be a list, got {cfg['sensors']!r:.60}")
     for i, s in enumerate(cfg.get("sensors", ())):
         check_keys(s, {"C", "R", "E"}, f"sensor {i}")
     try:

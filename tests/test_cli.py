@@ -1,6 +1,7 @@
 import json
 import math
 import os
+import re
 import subprocess
 import sys
 from pathlib import Path
@@ -412,3 +413,54 @@ def test_non_finite_model_entry_is_usage_error(capsys, tmp_path, command, key, v
     model["sensors"] = [{k: entries[k] for k in ("C", "R", "E")}]
     line = config_fault(capsys, tmp_path, command, scalar_config(model=model))
     assert f"{key} must be finite" in line
+
+
+def model_with(**entries):
+    """scalar_config's model with some entries replaced."""
+    return dict(scalar_config()["model"], **entries)
+
+
+@pytest.mark.parametrize("key, cfg", [
+    ("s", {"preset": "three-tank-groupA1", "s": None}),
+    ("s", scalar_config(codec={"a": [2.0], "delta": [0.01], "s": None})),
+    ("a", {"preset": "three-tank-groupA1", "a": ["x", 1, 2]}),
+    ("gamma_bar", {"preset": "three-tank-groupA1", "gamma_bar": [0.9, "x", 0.9]}),
+    ("channel", scalar_config(channel=5)),
+    ("codec", scalar_config(codec=[2.0])),
+    ("outcome_override", scalar_config(outcome_override=5)),
+    ("sensor 0", scalar_config(model=model_with(sensors=[5]))),
+    ("sensors", scalar_config(model=model_with(sensors=5))),
+    ("sensors", scalar_config(model=model_with(sensors={"C": [[1.0]], "R": [[0.09]]}))),
+    ("model", scalar_config(model=5)),
+    ("A", scalar_config(model=model_with(A=[["x"]]))),
+    ("x0_mean", scalar_config(model=model_with(x0_mean=[[0.0], 1.0]))),
+    ("scenario", [1, 2]),
+], ids=["preset-s-null", "full-s-null", "a-string", "gamma-string", "channel-int",
+        "codec-list", "override-int", "sensor-int", "sensors-int", "sensors-object",
+        "model-int", "matrix-string", "vector-ragged", "top-level-list"])
+def test_config_fault_names_its_key(capsys, tmp_path, key, cfg):
+    line = config_fault(capsys, tmp_path, "simulate", cfg)
+    assert re.search(rf"\b{key} must\b", line), line
+
+
+@pytest.mark.parametrize("override", [
+    {"auth": [[1] * 10], "wire": [[1] * 9 + [2]]},
+    {"auth": [[1] * 9], "wire": [[1] * 9]},
+    {"auth": [[1] * 10], "wire": [[1] * 9]},
+    {"auth": [[1] * 10, [1] * 9], "wire": [[1] * 10, [1] * 10]},
+    {"auth": [[1] * 10]},
+], ids=["entry-2", "short-horizon", "ragged-links", "ragged-rows", "one-link"])
+def test_bad_outcome_override_is_usage_error(capsys, tmp_path, override):
+    line = config_fault(capsys, tmp_path, "simulate", scalar_config(outcome_override=override))
+    assert "outcome_override" in line
+
+
+@pytest.mark.parametrize("tol", ["inf", "nan", "0", "-1"])
+def test_bound_tolerance_must_be_positive_and_finite(capsys, tmp_path, tol):
+    # an infinite tolerance "converges" after two iterates, a NaN or non-positive
+    # one never: either way the verdict would say nothing
+    out = tmp_path / "out"
+    rc = main(["bound", "--preset", "three-tank-groupD3", "--tol", tol, "--out", str(out)])
+    lines = capsys.readouterr().err.strip().splitlines()
+    assert rc == 2 and len(lines) == 1 and "--tol must be positive and finite" in lines[0], lines
+    assert not out.exists()

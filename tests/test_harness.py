@@ -10,7 +10,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 from hypothesis.extra.numpy import arrays
 
-from ppfe.channel import OutcomeTrace, sample_outcomes
+from ppfe.channel import sample_outcomes
 from ppfe.codec import (CodecOverflowError, ack, bootstrap_state, decode, eavesdrop_decode,
                         encode)
 from ppfe.estimator import run_filter
@@ -89,11 +89,13 @@ def test_detect_critical_events_matches_reference_loop(data, b, m, h, last):
 
 def test_build_worst_case_shape_and_roundtrip():
     trace = build_worst_case(1, 5, channel=0, k_bar=2)
-    assert np.array_equal(trace.wire[0], [1, 1, 0, 1, 1])
-    assert trace.auth.all()
-    assert trial_events(trace.auth, trace.wire) == [[0, 2, 1]]
+    assert trace.shape == (2, 1, 5) and trace.dtype == bool
+    auth, wire = trace
+    assert np.array_equal(wire[0], [1, 1, 0, 1, 1])
+    assert auth.all()
+    assert trial_events(auth, wire) == [[0, 2, 1]]
     boundary = build_worst_case(2, 4, channel=1, k_bar=0)
-    assert boundary.wire[1, 0] == 0 and boundary.wire[1, 1:].all()
+    assert boundary[1, 1, 0] == 0 and boundary[1, 1, 1:].all()
     with pytest.raises(ValueError):
         build_worst_case(1, 5, channel=0, k_bar=5)
 
@@ -101,8 +103,7 @@ def test_build_worst_case_shape_and_roundtrip():
 # ---------------------------------------------------------------- single trials
 
 def test_trial_transparent_no_drops_equal_views():
-    override = OutcomeTrace(auth=np.ones((1, 30), dtype=int),
-                            wire=np.ones((1, 30), dtype=int))
+    override = (np.ones((1, 30), dtype=int), np.ones((1, 30), dtype=int))
     sc = scalar_scenario(outcome_override=override, transparent_quantizer=True,
                          trials=1)
     res = run_trial(sc, 0)
@@ -133,7 +134,7 @@ def test_trial_determinism():
 def test_eve_equals_legit_null_test():
     # wiretap trace identical to the authorized trace: identical estimates
     rng_trace = (np.random.default_rng(5).random((1, 40)) < 0.8).astype(int)
-    override = OutcomeTrace(auth=rng_trace, wire=rng_trace)
+    override = (rng_trace, rng_trace)
     sc = scalar_scenario(outcome_override=override, horizon=40, trials=1)
     res = run_trial(sc, 0)
     assert np.array_equal(res.eve_err, res.legit_err)
@@ -157,7 +158,7 @@ def test_transparent_eavesdropper_decodes_without_noise():
     auth = (rng.random((1, 30)) < 0.6).astype(int)
     wire = auth | (rng.random((1, 30)) < 0.6).astype(int)
     assert (wire & (1 - auth)).any()
-    sc = scalar_scenario(outcome_override=OutcomeTrace(auth=auth, wire=wire), a=[1.1],
+    sc = scalar_scenario(outcome_override=(auth, wire), a=[1.1],
                          delta=[0.5], transparent_quantizer=True, trials=1)
     res = run_trial(sc, 0)
     traj = simulate_plant(sc.model, sc.sensors, sc.horizon, substream(sc.seed, "plant", 0))
@@ -189,23 +190,23 @@ def reference_trial(sc, trial):
     Returns the states, the legitimate errors, the eavesdropper's saturation step
     and its errors before that step."""
     traj = simulate_plant(sc.model, sc.sensors, sc.horizon, substream(sc.seed, "plant", trial))
-    links = sc.outcome_override
-    if links is None:
-        auth, wire = sample_outcomes(sc.channel, sc.horizon,
+    if sc.outcome_override is None:
+        auth, wire = sample_outcomes(sc.gamma_bar, sc.gamma_bar_eve, sc.horizon,
                                      [substream(sc.seed, "channel", trial)])[:, 0]
-        links = SimpleNamespace(auth=auth, wire=wire)
+    else:
+        auth, wire = sc.outcome_override
     rng = substream(sc.seed, "quantizer", trial)
     enc = [bootstrap_state(sn.d_y) for sn in sc.sensors]
     legit, eve = list(enc), list(enc)
     legit_dec, eve_dec = [], []
     sat = sc.horizon
     for k in range(sc.horizon):
-        legit_dec.append([None] * sc.n_channels)
-        eve_dec.append([None] * sc.n_channels)
+        legit_dec.append([None] * len(sc.sensors))
+        eve_dec.append([None] * len(sc.sensors))
         for i, codec in enumerate(sc.codecs):
             y = traj.measurements[i][k]
             z = encode(enc[i], codec, y, k, rng).z
-            if links.wire[i, k] and sat == sc.horizon:
+            if wire[i, k] and sat == sc.horizon:
                 # "legit-time": the overheard ACK time before this step, own reference value
                 src = eve[i] if sc.eve_reference_policy == "own" else replace(
                     eve[i], t_ref=legit[i].t_ref)
@@ -217,12 +218,12 @@ def reference_trial(sc, trial):
                     eve_dec[k][i] = ybar
                     if not np.abs(ybar - y).max() <= EVE_SATURATION:
                         sat = k
-            if links.auth[i, k]:
+            if auth[i, k]:
                 legit_dec[k][i], legit[i] = decode(legit[i], codec, z, k)
                 enc[i] = ack(enc[i], legit_dec[k][i], k)
     states = traj.states[:sc.horizon]
-    legit_x = run_filter(sc.model, sc.sensors, sc.codecs, links.auth, legit_dec).x[1::2]
-    eve_x = run_filter(sc.model, sc.sensors, sc.codecs, links.wire[:, :sat], eve_dec[:sat]).x[1::2]
+    legit_x = run_filter(sc.model, sc.sensors, sc.codecs, auth, legit_dec).x[1::2]
+    eve_x = run_filter(sc.model, sc.sensors, sc.codecs, wire[:, :sat], eve_dec[:sat]).x[1::2]
     eve_err = states[:sat] - eve_x
     # the filter can blow up before a decode does
     blown = np.flatnonzero(np.linalg.norm(eve_err, axis=1) > EVE_SATURATION)
@@ -259,7 +260,7 @@ def test_eavesdropper_filter_blow_up_saturates():
     # the wiretap delivers nothing, so no decode can trip: the eavesdropper's
     # open-loop prediction of an unstable plant saturates on the filter check
     h = 70
-    override = OutcomeTrace(auth=np.ones((1, h), dtype=int), wire=np.zeros((1, h), dtype=int))
+    override = (np.ones((1, h), dtype=int), np.zeros((1, h), dtype=int))
     model = SystemModel(A=[[2.0]], Q=[[0.04]], x0_mean=[0.0], P0=[[1.0]])
     sc = scalar_scenario(model=model, outcome_override=override, horizon=h, trials=3)
     block = run_block(sc, 0, sc.trials)
@@ -294,8 +295,7 @@ def test_monte_carlo_self_consistency_with_filter_covariance():
     # transparent codec, lossless links: MSE approaches the filter's converged P
     model = SystemModel(A=[[0.9]], Q=[[0.04]], x0_mean=[0.0], P0=[[1.0]])
     sensors = (SensorModel(C=[[1.0]], R=[[0.09]]),)
-    override = OutcomeTrace(auth=np.ones((1, 60), dtype=int),
-                            wire=np.ones((1, 60), dtype=int))
+    override = (np.ones((1, 60), dtype=int), np.ones((1, 60), dtype=int))
     sc = Scenario(model=model, sensors=sensors, gamma_bar=[0.999999999],
                   gamma_bar_eve=[0.999999999], a=[2.0], delta=[0.01], s=1.0,
                   horizon=60, trials=2000, seed=21, outcome_override=override,
@@ -328,7 +328,7 @@ def test_secrecy_report_pass_and_fail_modes():
     # no drops, no encoding: eavesdropper sees everything, no secrecy.
     # unstable plant so the lossy-channel bound clears the lossless truth.
     ones = np.ones((1, 60), dtype=int)
-    override = OutcomeTrace(auth=ones, wire=ones)
+    override = (ones, ones)
     model = SystemModel(A=[[1.1]], Q=[[0.04]], x0_mean=[0.0], P0=[[1.0]])
     sc3 = Scenario(model=model, sensors=(SensorModel(C=[[1.0]], R=[[0.09]]),),
                    gamma_bar=[0.9], gamma_bar_eve=[0.8], a=[5.0], delta=[0.01],
@@ -350,6 +350,22 @@ def test_secrecy_slope_fit_without_saturation():
     assert rep["criterion_ii_mode"] == "log-linear-fit"
     assert rep["slope"] == pytest.approx(math.log(2.0), abs=0.05)
     assert rep["criterion_ii"]
+
+
+def test_untracked_eavesdropper_leaves_criterion_ii_unmeasured():
+    # no eavesdropper ran, so criterion (ii) says so rather than blaming the window;
+    # the tracked run of the same scenario measures it
+    sc = scalar_scenario(a=[5.0], horizon=120, trials=6, seed=3, track_eavesdropper=False)
+    rep = secrecy_report(run_monte_carlo(sc, compute_bound_trace=True), sc)
+    assert rep["criterion_ii_mode"] == "eavesdropper-not-tracked"
+    assert rep["criterion_ii"] is False and rep["secrecy"] is False and rep["slope"] is None
+    tracked = replace(sc, track_eavesdropper=True)
+    rep = secrecy_report(run_monte_carlo(tracked, compute_bound_trace=True), tracked)
+    assert rep["criterion_ii_mode"] == "diverged-flag" and rep["criterion_ii"]
+    # without a growth channel criterion (ii) cannot hold, tracked or not
+    stable = replace(sc, a=[0.5])
+    rep = secrecy_report(run_monte_carlo(stable, compute_bound_trace=True), stable)
+    assert rep["criterion_ii_mode"] == "no-growth-channel" and not rep["criterion_ii"]
 
 
 def test_eve_reference_policy_legit_time_also_diverges():
@@ -413,7 +429,7 @@ def test_scenario_from_dict_explicit_and_preset():
         "horizon": 10, "trials": 2, "seed": 5,
     }
     sc = scenario_from_dict(cfg)
-    assert sc.horizon == 10 and sc.trials == 2 and sc.n_channels == 1
+    assert sc.horizon == 10 and sc.trials == 2 and len(sc.sensors) == 1
     sc2 = scenario_from_dict({"preset": "three-tank-groupA2", "horizon": 25,
                               "trials": 3, "a": [0.5, 6.0, 6.0]})
     assert sc2.horizon == 25 and sc2.a[1] == 6.0
@@ -428,8 +444,16 @@ def test_scenario_validation():
         scalar_scenario(gamma_bar=[0.5, 0.5])
     with pytest.raises(ValueError):
         scalar_scenario(eve_reference_policy="psychic")
-    with pytest.raises(ValueError):
-        scalar_scenario(outcome_override=OutcomeTrace(auth=[[1, 1]], wire=[[1, 1]]))
+    with pytest.raises(ValueError, match=r"outcome_override .* shape \(2, 1, 30\), got shape"):
+        scalar_scenario(outcome_override=([[1, 1]], [[1, 1]]))
+    with pytest.raises(ValueError, match=r"gamma_bar entries must lie in \(0, 1\]"):
+        scalar_scenario(gamma_bar=[0.0])
+    with pytest.raises(ValueError, match=r"gamma_bar_eve must have one entry per channel"):
+        scalar_scenario(gamma_bar=[0.5], gamma_bar_eve=[0.5, 0.5])
+    with pytest.raises(ValueError, match=r"gamma_bar_eve entries must lie in \(0, 1\]"):
+        scalar_scenario(gamma_bar=[0.5], gamma_bar_eve=[float("nan")])
+    with pytest.raises(ValueError, match="outcome_override .* an entry other than 0 or 1"):
+        scalar_scenario(outcome_override=([[0, 2] * 15], [[0, 1] * 15]))
     with pytest.raises(ValueError, match=r"a must have one entry per channel, shape \(1,\)"):
         scalar_scenario(a=[[2.0]])
 
@@ -446,6 +470,14 @@ def test_library_switch_check_matches_file_form():
     with pytest.raises(ValueError) as file_form:
         scenario_from_dict(cfg)
     assert str(lib.value) == str(file_form.value) == "track_eavesdropper must be true or false, got 0"
+
+
+def assert_same_blocks(ours, theirs):
+    """Byte-equal block results, dtype and shape included."""
+    for f in fields(ours):
+        mine, ref = getattr(ours, f.name), getattr(theirs, f.name)
+        assert mine.dtype == ref.dtype and mine.shape == ref.shape, f.name
+        assert mine.tobytes() == ref.tobytes(), f.name
 
 
 def same_fields(x, y) -> bool:
@@ -478,12 +510,33 @@ def test_full_form_three_tank_runs_like_preset_form():
         "codec": {"a": [0.5, 0.5, 5.0], "delta": [0.01, 0.01, 0.01], "s": 1},
         **counts})
     preset = scenario_from_dict({"preset": "three-tank-groupA1", **counts})
-    ours, theirs = run_block(full, 0, 4), run_block(preset, 0, 4)
-    for f in fields(ours):
-        mine, ref = getattr(ours, f.name), getattr(theirs, f.name)
-        assert mine.dtype == ref.dtype and mine.shape == ref.shape, f.name
-        assert mine.tobytes() == ref.tobytes(), f.name
+    ours = run_block(full, 0, 4)
+    assert_same_blocks(ours, run_block(preset, 0, 4))
     assert len(ours.events) > 0 and (ours.eve_saturated_at < 60).any()
+
+
+def test_file_and_library_overrides_take_one_route():
+    # the file's {"auth", "wire"} object and build_worst_case give the same checked
+    # (2, M, horizon) override and byte-equal block outputs
+    counts = {"seed": 4, "horizon": 60, "trials": 3}
+    bits = build_worst_case(3, 60, channel=2, k_bar=5)
+    filed = scenario_from_dict({"preset": "three-tank-groupA1", **counts, "outcome_override": {
+        "auth": bits[0].astype(int).tolist(), "wire": bits[1].astype(int).tolist()}})
+    built = replace(scenario_preset("three-tank-groupA1", **counts), outcome_override=bits)
+    for sc in (filed, built):
+        ov = sc.outcome_override
+        assert ov.shape == (2, 3, 60) and ov.dtype == bool and not ov.flags.writeable
+    assert same_fields(filed, built)
+    ours = run_block(filed, 0, 3)
+    assert_same_blocks(ours, run_block(built, 0, 3))
+    assert ours.events.tolist() == [[t, 2, 5, 1] for t in range(3)]
+    # an override is one trial's slice of the sampled layout: forcing a trial's own
+    # sampled receptions reproduces its sampled run
+    sampled = scenario_preset("three-tank-groupA1", seed=4, horizon=60, trials=1)
+    drawn = sample_outcomes(sampled.gamma_bar, sampled.gamma_bar_eve, 60,
+                            [substream(4, "channel", 0)])[:, 0]
+    assert_same_blocks(run_block(sampled, 0, 1),
+                       run_block(replace(sampled, outcome_override=drawn), 0, 1))
 
 
 # ---------------------------------------------------------------- csv output
@@ -509,7 +562,7 @@ def test_csv_outputs_are_deterministic(tmp_path):
 
 def test_three_tank_filter_covariance_stays_bounded():
     # lossy encoded run: trace(P_k|k) never grows past 10x trace(P0)
-    from ppfe.channel import ChannelModel, sample_outcomes
+    from ppfe.channel import sample_outcomes
     from ppfe.codec import ack, bootstrap_state, decode, encode
     from ppfe.estimator import run_filter
     from ppfe.model import simulate_plant
@@ -519,7 +572,7 @@ def test_three_tank_filter_covariance_stays_bounded():
     model, sensors = sc.model, list(sc.sensors)
     codecs = sc.codecs
     traj = simulate_plant(model, sensors, sc.horizon, substream(13, "plant", 0))
-    auth = sample_outcomes(ChannelModel(sc.gamma_bar, sc.gamma_bar_eve),
+    auth = sample_outcomes(sc.gamma_bar, sc.gamma_bar_eve,
                            sc.horizon, [substream(13, "channel", 0)])[0, 0]
     quant = substream(13, "quantizer", 0)
     enc = [bootstrap_state(s.d_y) for s in sensors]
@@ -642,8 +695,8 @@ def test_ill_conditioned_trial_is_named():
     # duplicate channels: the authorized link delivers channel 0 only, the wiretap
     # both, so only the eavesdropper's innovation covariance is ill-conditioned
     one, both = np.array([[1] * 5, [0] * 5]), np.ones((2, 5), dtype=int)
-    eve_sc = replace(sc, outcome_override=OutcomeTrace(auth=one, wire=both), trials=3, seed=1)
-    legit_sc = replace(eve_sc, outcome_override=OutcomeTrace(auth=both, wire=one))
+    eve_sc = replace(sc, outcome_override=(one, both), trials=3, seed=1)
+    legit_sc = replace(eve_sc, outcome_override=(both, one))
     for workers in (1, 2):
         assert_named_trial_fails_alone(sc, workers, ValueError,
                                        r"trial \d+ \(seed 123\): .*channels")
