@@ -4,6 +4,8 @@ import numpy as np
 import pytest
 
 from ppfe.channel import channel_capacity, sample_outcomes, total_capacity
+from ppfe.harness import Scenario
+from ppfe.model import SensorModel, SystemModel
 from ppfe.rng import substream
 
 
@@ -58,6 +60,27 @@ def test_outcome_streams_uncorrelated():
         for j in range(i + 1, 4):
             rho = np.corrcoef(streams[i], streams[j])[0, 1]
             assert abs(rho) < 0.02
+
+
+def one_channel_scenario(**kw):
+    """A scalar one-channel Scenario, the type that checks the channel parameters."""
+    base = dict(model=SystemModel(A=[[0.9]], Q=[[0.04]], x0_mean=[0.0], P0=[[1.0]]),
+                sensors=(SensorModel(C=[[1.0]], R=[[0.09]]),), gamma_bar=[0.5],
+                gamma_bar_eve=[0.5], a=[2.0], delta=[0.01], s=1.0, horizon=30,
+                trials=1, seed=0)
+    base.update(kw)
+    return Scenario(**base)
+
+
+def test_channel_model_validation():
+    with pytest.raises(ValueError, match=r"gamma_bar entries must lie in \(0, 1\]"):
+        one_channel_scenario(gamma_bar=[0.0])
+    with pytest.raises(ValueError, match=r"gamma_bar_eve must have one entry per channel"):
+        one_channel_scenario(gamma_bar_eve=[0.5, 0.5])
+    with pytest.raises(ValueError, match=r"gamma_bar_eve entries must lie in \(0, 1\]"):
+        one_channel_scenario(gamma_bar_eve=[float("nan")])
+    with pytest.raises(ValueError, match="outcome_override .* an entry other than 0 or 1"):
+        one_channel_scenario(outcome_override=([[0, 2] * 15], [[0, 1] * 15]))
 
 
 def test_capacity_inverse_point():

@@ -446,14 +446,6 @@ def test_scenario_validation():
         scalar_scenario(eve_reference_policy="psychic")
     with pytest.raises(ValueError, match=r"outcome_override .* shape \(2, 1, 30\), got shape"):
         scalar_scenario(outcome_override=([[1, 1]], [[1, 1]]))
-    with pytest.raises(ValueError, match=r"gamma_bar entries must lie in \(0, 1\]"):
-        scalar_scenario(gamma_bar=[0.0])
-    with pytest.raises(ValueError, match=r"gamma_bar_eve must have one entry per channel"):
-        scalar_scenario(gamma_bar=[0.5], gamma_bar_eve=[0.5, 0.5])
-    with pytest.raises(ValueError, match=r"gamma_bar_eve entries must lie in \(0, 1\]"):
-        scalar_scenario(gamma_bar=[0.5], gamma_bar_eve=[float("nan")])
-    with pytest.raises(ValueError, match="outcome_override .* an entry other than 0 or 1"):
-        scalar_scenario(outcome_override=([[0, 2] * 15], [[0, 1] * 15]))
     with pytest.raises(ValueError, match=r"a must have one entry per channel, shape \(1,\)"):
         scalar_scenario(a=[[2.0]])
 
