@@ -28,6 +28,13 @@ class ConditioningError(ValueError):
         self.row = row
 
 
+def ill_conditioned(s: np.ndarray) -> np.ndarray:
+    """Which of a stack of symmetric matrices have an eigenvalue <= 0 or a
+    condition number above COND_LIMIT, by their eigenvalues."""
+    eig = np.linalg.eigvalsh(s)
+    return (eig[:, 0] <= 0.0) | (eig[:, -1] > COND_LIMIT * eig[:, 0])
+
+
 class FusionFilter:
     """Batched predict/update for one plant and its stacked sensors.
 
@@ -40,6 +47,10 @@ class FusionFilter:
         self.A = model.A
         self.qeff = model.qeff
         self.C, self.R, self.channel = stack_sensors(sensors)
+        # least eigenvalue of each sensor's E R E^T; -inf where it is singular,
+        # which leaves any row that receives that sensor to the exact check
+        floor = np.array([np.linalg.eigvalsh(s.r_eff)[0] for s in sensors])
+        self.noise_floor = np.where(floor > 0.0, floor, -np.inf)
 
     def predict(self, x: np.ndarray, P: np.ndarray, bu: np.ndarray):
         """Time update: x <- A x + B u, P <- A P A^T + D Q D^T."""
@@ -54,6 +65,19 @@ class FusionFilter:
         received). Its extreme eigenvalues are those of S_received, so the
         conditioning check is exactly the check on the reduced S, and a
         dropped channel's R, which never enters the update, is not checked.
+
+        Conditioning contract: a row whose S has an eigenvalue <= 0 or a
+        condition number above COND_LIMIT (1e12) raises ConditioningError,
+        naming the first such row and its received channels. Most rows are
+        cleared without eigenvalues. With P >= 0, S_received = C_r P C_r^T + R_r
+        has lambda_min >= floor, the least `noise_floor` of a received sensor,
+        and lambda_max <= trace(S_received), so a row with trace(S_received)
+        <= COND_LIMIT / 2 * floor has cond(S) <= COND_LIMIT / 2. At that
+        condition eigvalsh's rounding moves the eigenvalues by about
+        n eps trace(S) <= n 1e-4 floor, far inside the factor 2, so its test
+        could not flag such a row. Every other row, including one that
+        receives a sensor with a singular E R E^T, gets that test itself: the
+        verdict and the named row are those of testing every row.
         """
         rows = received[:, self.channel]
         gc = np.where(rows[:, :, None], self.C, 0.0)
@@ -61,15 +85,18 @@ class FusionFilter:
         both = rows[:, :, None] & rows[:, None, :]
         s = symmetrize(gcp @ np.swapaxes(gc, -1, -2) + np.where(both, self.R, 0.0))
         n = rows.sum(axis=1)
-        c = np.where(n > 0, np.einsum("bii->b", s) / np.maximum(n, 1), 1.0)
+        trace = np.einsum("bii->b", s)
+        c = np.where(n > 0, trace / np.maximum(n, 1), 1.0)
         s += np.where(rows, 0.0, c[:, None])[:, :, None] * np.eye(rows.shape[1])
-        eig = np.linalg.eigvalsh(s)
-        bad = (eig[:, 0] <= 0.0) | (eig[:, -1] > COND_LIMIT * eig[:, 0])
-        if bad.any():
-            row = int(np.argmax(bad))
-            raise ConditioningError(
-                f"innovation covariance ill-conditioned (cond > {COND_LIMIT:.0e}) "
-                f"for received channels {tuple(np.flatnonzero(received[row]).tolist())}", row)
+        floor = np.where(received, self.noise_floor, np.inf).min(axis=1)
+        unsure = np.flatnonzero(~(trace <= 0.5 * COND_LIMIT * floor))
+        if unsure.size:
+            bad = unsure[ill_conditioned(s[unsure])]
+            if bad.size:
+                row = int(bad[0])
+                raise ConditioningError(
+                    f"innovation covariance ill-conditioned (cond > {COND_LIMIT:.0e}) "
+                    f"for received channels {tuple(np.flatnonzero(received[row]).tolist())}", row)
         gain_t = np.linalg.solve(s, gcp)  # K^T, zero rows for dropped channels
         gain = np.swapaxes(gain_t, -1, -2)
         innov = np.where(rows, y - x @ self.C.T, 0.0)

@@ -77,6 +77,8 @@ class Scenario:
             if not isinstance(getattr(self, key), bool):
                 raise ValueError(f"{key} must be true or false, got {getattr(self, key)!r}")
         try:
+            if isinstance(self.s, (str, bytes)):
+                raise TypeError
             object.__setattr__(self, "s", float(self.s))
         except (TypeError, ValueError):
             raise ValueError(f"s must be a number, got {self.s!r}") from None
@@ -181,13 +183,17 @@ def scenario_from_dict(cfg: dict) -> Scenario:
         fields = {"seed": 0, "horizon": 500, "trials": 200, **_preset_fields(cfg["preset"])}
     else:
         check_keys(cfg, _FULL_KEYS, "a full scenario")
-        chan, codec = cfg["channel"], cfg["codec"]
-        check_keys(chan, {"gamma", "gamma_eve"}, "channel")
-        check_keys(codec, {"a", "delta", "s"}, "codec")
-        model, sensors = from_config(cfg["model"])
-        fields = {"seed": 0, "trials": 1, "horizon": cfg["horizon"], "model": model,
-                  "sensors": sensors, "gamma_bar": chan["gamma"], "gamma_bar_eve": chan["gamma_eve"],
-                  "a": codec["a"], "delta": codec["delta"], "s": codec["s"]}
+        try:
+            chan, codec = cfg["channel"], cfg["codec"]
+            check_keys(chan, {"gamma", "gamma_eve"}, "channel")
+            check_keys(codec, {"a", "delta", "s"}, "codec")
+            model, sensors = from_config(cfg["model"])
+            fields = {"seed": 0, "trials": 1, "horizon": cfg["horizon"], "model": model,
+                      "sensors": sensors, "gamma_bar": chan["gamma"],
+                      "gamma_bar_eve": chan["gamma_eve"],
+                      "a": codec["a"], "delta": codec["delta"], "s": codec["s"]}
+        except KeyError as exc:
+            raise ValueError(f"a full scenario is missing required key {exc}") from None
     # the keys check_keys let through, but the form's own, are Scenario fields
     fields.update((key, value) for key, value in cfg.items()
                   if key not in ("preset", "model", "channel", "codec"))

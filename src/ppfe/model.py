@@ -45,11 +45,15 @@ def psd_factor(sigma: np.ndarray) -> np.ndarray:
 
 
 def as_floats(x, name: str, ndmin: int = 0) -> np.ndarray:
-    """A new float array of `x`; a value numpy cannot convert is a fault naming `name`."""
+    """A new float array of `x`; a string entry, or a value numpy cannot convert,
+    is a fault naming `name`."""
     try:
-        return np.array(x, dtype=float, ndmin=ndmin)
+        a = np.array(x, ndmin=ndmin)
+        if a.dtype.kind not in "SU":
+            return a.astype(float)
     except (TypeError, ValueError) as exc:
         raise ValueError(f"{name} must hold numbers: {exc}") from None
+    raise ValueError(f"{name} must hold numbers, got a string entry")
 
 
 def _finite(a: np.ndarray, name: str) -> np.ndarray:

@@ -420,27 +420,47 @@ def model_with(**entries):
     return dict(scalar_config()["model"], **entries)
 
 
-@pytest.mark.parametrize("key, cfg", [
-    ("s", {"preset": "three-tank-groupA1", "s": None}),
-    ("s", scalar_config(codec={"a": [2.0], "delta": [0.01], "s": None})),
-    ("a", {"preset": "three-tank-groupA1", "a": ["x", 1, 2]}),
-    ("gamma_bar", {"preset": "three-tank-groupA1", "gamma_bar": [0.9, "x", 0.9]}),
-    ("channel", scalar_config(channel=5)),
-    ("codec", scalar_config(codec=[2.0])),
-    ("outcome_override", scalar_config(outcome_override=5)),
-    ("sensor 0", scalar_config(model=model_with(sensors=[5]))),
-    ("sensors", scalar_config(model=model_with(sensors=5))),
-    ("sensors", scalar_config(model=model_with(sensors={"C": [[1.0]], "R": [[0.09]]}))),
-    ("model", scalar_config(model=5)),
-    ("A", scalar_config(model=model_with(A=[["x"]]))),
-    ("x0_mean", scalar_config(model=model_with(x0_mean=[[0.0], 1.0]))),
-    ("scenario", [1, 2]),
+def must(key):
+    """A fault message that says what `key` must be."""
+    return rf"\b{key} must\b"
+
+
+def missing(key):
+    """A fault message that names the required `key` a full scenario lacks."""
+    return rf"a full scenario is missing required key '{key}'$"
+
+
+@pytest.mark.parametrize("want, cfg", [
+    (must("s"), {"preset": "three-tank-groupA1", "s": None}),
+    (must("s"), scalar_config(codec={"a": [2.0], "delta": [0.01], "s": None})),
+    (must("a"), {"preset": "three-tank-groupA1", "a": ["x", 1, 2]}),
+    (must("gamma_bar"), {"preset": "three-tank-groupA1", "gamma_bar": [0.9, "x", 0.9]}),
+    (must("channel"), scalar_config(channel=5)),
+    (must("codec"), scalar_config(codec=[2.0])),
+    (must("outcome_override"), scalar_config(outcome_override=5)),
+    (must("sensor 0"), scalar_config(model=model_with(sensors=[5]))),
+    (must("sensors"), scalar_config(model=model_with(sensors=5))),
+    (must("sensors"), scalar_config(model=model_with(sensors={"C": [[1.0]], "R": [[0.09]]}))),
+    (must("model"), scalar_config(model=5)),
+    (must("A"), scalar_config(model=model_with(A=[["x"]]))),
+    (must("x0_mean"), scalar_config(model=model_with(x0_mean=[[0.0], 1.0]))),
+    (must("scenario"), [1, 2]),
+    (must("s"), {"preset": "three-tank-groupA1", "s": "1"}),
+    (must("a"), {"preset": "three-tank-groupA1", "a": ["0.5", "0.5", "5"]}),
+    (must("s"), scalar_config(codec={"a": [2.0], "delta": [0.01], "s": "1"})),
+    (must("gamma_bar"), scalar_config(channel={"gamma": ["0.9"], "gamma_eve": [0.8]})),
+    *((missing(key), {k: v for k, v in scalar_config().items() if k != key})
+      for key in ("channel", "codec", "horizon")),
+    (missing("gamma_eve"), scalar_config(channel={"gamma": [0.9]})),
+    (missing("s"), scalar_config(codec={"a": [2.0], "delta": [0.01]})),
 ], ids=["preset-s-null", "full-s-null", "a-string", "gamma-string", "channel-int",
         "codec-list", "override-int", "sensor-int", "sensors-int", "sensors-object",
-        "model-int", "matrix-string", "vector-ragged", "top-level-list"])
-def test_config_fault_names_its_key(capsys, tmp_path, key, cfg):
+        "model-int", "matrix-string", "vector-ragged", "top-level-list",
+        "preset-s-string", "preset-a-strings", "full-s-string", "full-gamma-string",
+        "no-channel", "no-codec", "no-horizon", "no-gamma-eve", "no-s"])
+def test_config_fault_names_its_key(capsys, tmp_path, want, cfg):
     line = config_fault(capsys, tmp_path, "simulate", cfg)
-    assert re.search(rf"\b{key} must\b", line), line
+    assert re.search(want, line), line
 
 
 @pytest.mark.parametrize("override", [

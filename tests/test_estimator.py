@@ -1,10 +1,16 @@
+import json
+from pathlib import Path
+
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from ppfe import estimator
 from ppfe.codec import CodecParams
-from ppfe.estimator import ConditioningError, FusionFilter, decoding_noise, run_filter
-from ppfe.model import SensorModel, SystemModel, three_tank_preset
+from ppfe.estimator import (COND_LIMIT, ConditioningError, FusionFilter, decoding_noise,
+                            run_filter)
+from ppfe.harness import run_block, scenario_from_dict
+from ppfe.model import SensorModel, SystemModel, symmetrize, three_tank_preset
 
 
 def scalar_model(a=1.0, q=1.0, p0=1.0):
@@ -372,3 +378,101 @@ def test_masked_batched_update_equals_reduced_form(seed, d, m, rows):
         scale = max(1.0, float(np.abs(rp).max()))
         assert np.allclose(bx[j], rx, rtol=1e-9, atol=1e-9 * scale)
         assert np.allclose(bP[j], rp, rtol=1e-9, atol=1e-9 * scale)
+
+
+def all_rows_update(fusion, x, P, y, received, rdec):
+    """Reference: the update with the eigenvalue test on every row of the block."""
+    rows = received[:, fusion.channel]
+    gc = np.where(rows[:, :, None], fusion.C, 0.0)
+    gcp = gc @ P
+    both = rows[:, :, None] & rows[:, None, :]
+    s = symmetrize(gcp @ np.swapaxes(gc, -1, -2) + np.where(both, fusion.R, 0.0))
+    n = rows.sum(axis=1)
+    c = np.where(n > 0, np.einsum("bii->b", s) / np.maximum(n, 1), 1.0)
+    s += np.where(rows, 0.0, c[:, None])[:, :, None] * np.eye(rows.shape[1])
+    eig = np.linalg.eigvalsh(s)
+    bad = (eig[:, 0] <= 0.0) | (eig[:, -1] > COND_LIMIT * eig[:, 0])
+    if bad.any():
+        row = int(np.argmax(bad))
+        raise ConditioningError(
+            f"innovation covariance ill-conditioned (cond > {COND_LIMIT:.0e}) "
+            f"for received channels {tuple(np.flatnonzero(received[row]).tolist())}", row)
+    gain_t = np.linalg.solve(s, gcp)
+    gain = np.swapaxes(gain_t, -1, -2)
+    innov = np.where(rows, y - x @ fusion.C.T, 0.0)
+    x = x + (innov[:, None, :] @ gain_t)[:, 0]
+    P = P - gain @ s @ gain_t + (gain * rdec[..., None, :]) @ gain_t
+    return x, symmetrize(P)
+
+
+def outcome(update, *args):
+    try:
+        return update(*args)
+    except ConditioningError as exc:
+        return exc
+
+
+@settings(max_examples=200, deadline=None)
+@given(seed=st.integers(0, 2 ** 32 - 1), d=st.integers(1, 4), m=st.integers(1, 4),
+       rows=st.integers(1, 5), r_scale=st.sampled_from([1.0, 1e-4, 1e-8, 1e-12, 1e-15]),
+       p_scale=st.sampled_from([1e-6, 1.0, 1e6]))
+def test_conditioning_certificate_agrees_with_all_rows_eigenvalues(seed, d, m, rows, r_scale,
+                                                                   p_scale):
+    # the update raises on exactly the row the all-rows eigenvalue test names, with
+    # the same message, and otherwise returns the same bytes
+    rng = np.random.default_rng(seed)
+    sensors = []
+    for _ in range(m):
+        dy = int(rng.integers(1, d + 1))
+        dv = int(rng.integers(1, dy + 1))        # dv < dy: E R E^T is singular
+        r = rng.normal(0, 1, (dv, dv))
+        sensors.append(SensorModel(C=rng.normal(0, 1, (dy, d)), E=rng.normal(0, 1, (dy, dv)),
+                                   R=r_scale * (r @ r.T + 0.1 * np.eye(dv))))
+    model = SystemModel(A=rng.normal(0, 1, (d, d)), Q=np.eye(d), x0_mean=np.zeros(d),
+                        P0=np.eye(d))
+    g = rng.normal(0, 1, (rows, d, int(rng.integers(1, d + 1))))   # P may be singular
+    P = p_scale * g @ np.swapaxes(g, 1, 2)
+    x = rng.normal(0, 1, (rows, d))
+    n = sum(s.d_y for s in sensors)
+    y, rdec = rng.normal(0, 1, (rows, n)), rng.uniform(0, 0.1, n)
+    received = rng.random((rows, m)) < 0.6
+    fusion = FusionFilter(model, sensors)
+    x, P = fusion.predict(x, P, np.zeros(d))
+    want = outcome(all_rows_update, fusion, x, P, y, received, rdec)
+    got = outcome(fusion.update, x, P, y, received, rdec)
+    if isinstance(want, ConditioningError):
+        assert isinstance(got, ConditioningError), "no raise where the eigenvalues flag a row"
+        assert got.row == want.row and str(got) == str(want)
+    else:
+        assert not isinstance(got, ConditioningError), got
+        for a, b in zip(got, want):
+            assert a.dtype == b.dtype and a.shape == b.shape and a.tobytes() == b.tobytes()
+
+
+def test_noise_free_sensor_is_left_to_the_eigenvalues():
+    # E = 0: the sensor's noise floor is 0, and with P = 0 so is trace(S); the
+    # certificate must not clear a row whose S is the zero matrix
+    model = SystemModel(A=np.eye(2), Q=np.eye(2), x0_mean=np.zeros(2), P0=np.eye(2))
+    fusion = FusionFilter(model, [SensorModel(C=[[1.0, 0.0]], R=[[1.0]], E=[[0.0]])])
+    received = np.array([[False], [True]])
+    with pytest.raises(ConditioningError, match=r"channels \(0,\)") as info:
+        fusion.update(np.zeros((2, 2)), np.zeros((2, 2, 2)), np.zeros((2, 1)), received,
+                      np.zeros(1))
+    assert info.value.row == 1
+
+
+@pytest.mark.parametrize("cfg", [
+    {"preset": "three-tank-groupA1"},
+    json.loads((Path(__file__).parents[1] / "perfbench/scenarios/nogrowth.json").read_text()),
+], ids=["A1", "nogrowth"])
+def test_preset_blocks_need_no_eigenvalues(monkeypatch, cfg):
+    # the certificate clears every (party, trial) row of these runs at every step
+    checked = []
+
+    def spy(s):
+        checked.append(len(s))
+        return estimator.ill_conditioned(s)
+
+    monkeypatch.setattr(estimator, "ill_conditioned", spy)
+    run_block(scenario_from_dict({**cfg, "trials": 16, "seed": 3}), 0, 16)
+    assert checked == []
