@@ -406,6 +406,7 @@ def all_rows_update(fusion, x, P, y, received, rdec):
 
 
 def outcome(update, *args):
+    """What an update returns, or the ConditioningError it raises."""
     try:
         return update(*args)
     except ConditioningError as exc:
