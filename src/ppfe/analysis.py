@@ -16,6 +16,11 @@ from .model import SensorModel, psd_factor, stack_sensors, symmetrize
 
 GAMMA_CAP = 1.0 - 1e-9
 DIVERGENCE_TRACE = 1e12
+# iterate_bound's degenerate-step certificate: the most steps one certificate
+# clears, and its rounding margin relative to |C|^2 |X| + |R| (Frobenius norms),
+# ~1e6 times the rounding of the products and eigvalsh calls it stands in for
+SPAN_MAX = 64
+CERT_RTOL = 1e-10
 # pbh_unit_circle: distance that puts an eigenvalue on the unit circle; rank cut-off
 PBH_EIG_TOL = 1e-8
 PBH_RANK_RTOL = 1e-10
@@ -208,6 +213,25 @@ def riccati_map(x: np.ndarray, params: BoundParams, w: float) -> np.ndarray:
     return symmetrize(a @ x @ a.T + params.qeff - gain_term)
 
 
+def _degenerate_prefix(xs: np.ndarray, params: BoundParams) -> int:
+    """How many leading iterates of the stack `xs` an exact recompute-mode step
+    maps with w = 0 and without raising (see `iterate_bound`)."""
+    c, s = params.c_stack, params.s
+    tol = CERT_RTOL * (np.sum(c * c) * np.sqrt(np.sum(xs * xs, axis=(1, 2)))
+                       + np.linalg.norm(params.r_block))
+    lam_hi = np.empty((len(xs), params.gamma_bar.size))
+    for idx, cg, ctg, rg in params.groups:
+        lam_hi[:, idx] = np.abs(np.linalg.eigvalsh(cg @ xs[:, None] @ ctg + rg)[..., 0])
+    rates = np.minimum(1.0 - 1e-6, (s * s) * (params.delta * params.delta / 4.0)
+                       / (lam_hi + tol[:, None]))
+    v = inflation_diag(rates.T, s, params.channel).T
+    s_mat = c @ xs @ c.T + params.r_block
+    ok = ((np.linalg.eigvalsh(s_mat)[:, 0] > tol) & (rates.min(axis=1) > 0.0)
+          & ((np.diagonal(s_mat, axis1=1, axis2=2) * (1.0 - v * v)).min(axis=1)
+             < -(3.0 + s * s) * tol))
+    return ok.size if ok.all() else int(ok.argmin())
+
+
 def iterate_bound(
     v1: np.ndarray,
     params: BoundParams,
@@ -224,6 +248,22 @@ def iterate_bound(
     returns symmetric iterates, so each step reads its iterate as it is.
     Convergence is declared at relative Frobenius change < tol, divergence at a
     trace above DIVERGENCE_TRACE or not finite.
+
+    In recompute mode, after an exact step returns w = 0, the loop runs the
+    w = 0 map ahead over up to `span` steps and clears them with one batched
+    certificate (`_degenerate_prefix`). With tol = CERT_RTOL (|C|^2 |X| + |R|)
+    per iterate X, a step is cleared only when S = C X C^T + R has
+    lambda_min > tol, so neither the sensor blocks (by interlacing) nor S make
+    the exact step raise; when each block's lambda_min + tol, an upper bound,
+    gives every distortion rate > 0 and inflation entries v that are lower
+    bounds; and when some row has S_jj (1 - v_j^2) < -(3 + s^2) tol, so
+    lambda_min(S - V S V) < 0 and the exact w is 0. The leading cleared steps
+    are accepted and the exact step runs at the first uncleared one. The span
+    doubles while certificates clear it all, halves on a miss and is capped
+    at SPAN_MAX. Accepted iterates come from the same `riccati_map` calls on
+    the same bits as the exact steps, and a step that would raise is never
+    cleared, so iterates, traces, verdicts, degenerate counts and errors are
+    those of running every step exactly.
     """
     if max_steps < 1:
         raise ValueError("max_steps must be >= 1")
@@ -245,12 +285,27 @@ def iterate_bound(
     converged = False
     diverged = False
     w = None if recompute else step_w(current)
+    span, speculate, ahead = 1, False, []
     for _ in range(max_steps - 1):
-        if recompute:
-            w = step_w(current)
+        if speculate and not ahead:
+            ys = [current]
+            for _ in range(min(span, max_steps - len(iterates))):
+                ys.append(riccati_map(ys[-1], params, 0.0))
+                if not float(ys[-1].trace()) <= DIVERGENCE_TRACE:
+                    break
+            cleared = _degenerate_prefix(np.array(ys[:-1]), params)
+            speculate = cleared == len(ys) - 1
+            span = min(2 * span, SPAN_MAX) if speculate else max(1, span // 2)
+            ahead = ys[cleared:0:-1]
+        if ahead:
+            w, nxt = 0.0, ahead.pop()
+        else:
+            if recompute:
+                w = step_w(current)
+            nxt = riccati_map(current, params, w)
+            speculate = recompute and w == 0.0
         if w == 0.0:
             degenerate += 1
-        nxt = riccati_map(current, params, w)
         iterates.append(nxt)
         rel = np.linalg.norm(nxt - current, "fro") / max(1.0, np.linalg.norm(current, "fro"))
         current = nxt

@@ -77,7 +77,7 @@ class Scenario:
             if not isinstance(getattr(self, key), bool):
                 raise ValueError(f"{key} must be true or false, got {getattr(self, key)!r}")
         try:
-            if isinstance(self.s, (str, bytes)):
+            if isinstance(self.s, (str, bytes, bool, np.bool_)):
                 raise TypeError
             object.__setattr__(self, "s", float(self.s))
         except (TypeError, ValueError):

@@ -45,15 +45,21 @@ def psd_factor(sigma: np.ndarray) -> np.ndarray:
 
 
 def as_floats(x, name: str, ndmin: int = 0) -> np.ndarray:
-    """A new float array of `x`; a string entry, or a value numpy cannot convert,
-    is a fault naming `name`."""
+    """A new float array of `x`; a string, boolean or null entry, or a value
+    numpy cannot convert, is a fault naming `name`."""
     try:
         a = np.array(x, ndmin=ndmin)
-        if a.dtype.kind not in "SU":
-            return a.astype(float)
     except (TypeError, ValueError) as exc:
         raise ValueError(f"{name} must hold numbers: {exc}") from None
-    raise ValueError(f"{name} must hold numbers, got a string entry")
+    # numpy reads True as 1.0 and None as NaN, and a boolean mixed with numbers
+    # leaves no trace in the dtype, so the entries themselves are checked
+    for entry in np.array(x, dtype=object).flat:
+        if entry is None or isinstance(entry, (bool, np.bool_, str, bytes)):
+            raise ValueError(f"{name} must hold numbers, got {entry!r}")
+    try:
+        return a.astype(float)
+    except (TypeError, ValueError) as exc:
+        raise ValueError(f"{name} must hold numbers: {exc}") from None
 
 
 def _finite(a: np.ndarray, name: str) -> np.ndarray:

@@ -1,15 +1,18 @@
 import math
 import warnings
+from unittest import mock
 
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from ppfe import analysis
 from ppfe.analysis import (DIVERGENCE_TRACE, BoundParams, cap_gamma, capacity_condition,
                            distortion_rates, hadamard_weight, inflation_diag, iterate_bound,
                            gain_floor, noise_domination_check, mahler_entropy, riccati_map,
                            pbh_unit_circle, retention_scalar)
 from ppfe.codec import CodecParams
+from ppfe.harness import compute_bound, scenario_preset
 from ppfe.model import SensorModel, symmetrize, three_tank_preset
 
 
@@ -359,13 +362,31 @@ def reference_bound(v1, params, max_steps, recompute, tol):
     return iterates, degenerate, verdict
 
 
+def outcome(run):
+    try:
+        return run()
+    except (ValueError, ZeroDivisionError) as exc:
+        return exc
+
+
+def exact_steps_only():
+    """Certificates clear no step, so every step of `iterate_bound` is exact."""
+    return mock.patch.object(analysis, "_degenerate_prefix", lambda xs, params: 0)
+
+
 @settings(max_examples=50, deadline=None)
 @given(seed=st.integers(0, 2 ** 32 - 1), d=st.integers(1, 4),
        gammas=st.lists(st.floats(0.5, 1.0, exclude_min=True, exclude_max=True),
                        min_size=1, max_size=4),
-       s=st.sampled_from([-1.0, 0.5, 1.0, 2.0]), recompute=st.booleans())
-def test_iterate_bound_matches_per_sensor_reference(seed, d, gammas, s, recompute):
-    # the batched step must do the old step's floating-point work bit for bit
+       s=st.sampled_from([-1.0, 0.5, 1.0, 2.0]), recompute=st.booleans(),
+       coarse=st.booleans(), indefinite=st.booleans())
+def test_iterate_bound_matches_per_sensor_reference(seed, d, gammas, s, recompute, coarse,
+                                                   indefinite):
+    # the batched step must do the old step's floating-point work bit for bit.
+    # Coarse steps on a plant at the stability edge give degenerate runs that
+    # outlast SPAN_MAX and then turn to w > 0 inside a certified span; an
+    # indefinite V_1 with a small Q drives S = C X C^T + R indefinite, often
+    # after certified steps
     rng = np.random.default_rng(seed)
     sensors = []
     for _ in gammas:
@@ -373,18 +394,82 @@ def test_iterate_bound_matches_per_sensor_reference(seed, d, gammas, s, recomput
         r = rng.normal(0, 1, (dy, dy))
         sensors.append(SensorModel(C=rng.normal(0, 1, (dy, d)), R=r @ r.T + 0.3 * np.eye(dy)))
     mq, mv = rng.normal(0, 1, (2, d, d))
-    params = BoundParams(A=rng.normal(0, 0.8, (d, d)), qeff=mq @ mq.T + 0.01 * np.eye(d),
+    a = rng.normal(0, 0.8, (d, d))
+    if coarse:
+        a *= rng.uniform(1.0, 1.03) / np.abs(np.linalg.eigvals(a)).max()
+    params = BoundParams(A=a, qeff=(mq @ mq.T + 0.01 * np.eye(d)) * (1e-3 if indefinite else 1.0),
                          sensors=sensors, gamma_bar=cap_gamma(gammas), s=s,
-                         delta=10.0 ** rng.uniform(-3.0, math.log10(3.0), len(gammas)),
+                         delta=10.0 ** rng.uniform(-3.0, math.log10(3.0) + 2.0 * coarse,
+                                                   len(gammas)),
                          distortion_rates=rng.uniform(1e-6, 0.9, len(gammas)))
-    v1 = mv @ mv.T + np.eye(d)
+    v1 = (mv @ mv.T + np.eye(d)) * (-0.01 if indefinite else 1.0)
+    max_steps = 400 if coarse else 150
 
-    seq = iterate_bound(v1, params, 150, recompute=recompute)
-    iterates, degenerate, verdict = reference_bound(v1, params, 150, recompute, 1e-10)
+    seq = outcome(lambda: iterate_bound(v1, params, max_steps, recompute=recompute))
+    expected = outcome(lambda: reference_bound(v1, params, max_steps, recompute, 1e-10))
+    if isinstance(seq, Exception) or isinstance(expected, Exception):
+        # only an indefinite V_1 makes either raise. The reference checks the
+        # sensor blocks and not the stacked S; where it raises, so must the
+        # bound, with the type and message of its run with every step exact
+        assert indefinite and isinstance(seq, ValueError)
+        with exact_steps_only():
+            exact = outcome(lambda: iterate_bound(v1, params, max_steps, recompute=recompute))
+        assert (type(seq), str(seq)) == (type(exact), str(exact))
+        return
+    iterates, degenerate, verdict = expected
     assert (seq.verdict, len(seq.iterates), seq.degenerate_steps) == \
         (verdict, len(iterates), degenerate)
     assert all(x.tobytes() == y.tobytes() for x, y in zip(seq.iterates, iterates))
     assert seq.traces.tobytes() == np.array([np.trace(x) for x in iterates]).tobytes()
+
+
+@pytest.mark.parametrize("gap", [1e-12, -1e-12], ids=["just-short", "just-degenerate"])
+def test_certificate_leaves_a_knife_edge_step_to_the_exact_path(gap):
+    # a scalar plant whose w = 0 run puts v^2 = 1 - gap at iterate 99, inside
+    # the span of iterates 64..119 that follows 63 certified steps. There
+    # S - V S V = S gap, so the step is degenerate exactly when gap < 0,
+    # closer to the edge than any margin
+    x = 1.0
+    for _ in range(99):
+        x = 1.01 * 1.01 * x + 1.0
+    root_d = math.sqrt(2.0 - gap) - 1.0  # d + 2 sqrt(d) = 1 - gap
+    params = scalar_params(0.9, delta=[2.0 * root_d * math.sqrt(x + 1.0)], a=1.01)
+    seq = iterate_bound(np.eye(1), params, 120, recompute=True)
+    iterates, degenerate, verdict = reference_bound(np.eye(1), params, 120, True, 1e-10)
+    edge = iterates[99]
+    v = inflation_diag(distortion_rates(edge, params.groups, params.delta, 1.0), 1.0,
+                       params.channel)
+    assert (retention_scalar(edge, params.c_stack, params.r_block, v) > 0.0) == (gap > 0)
+    assert (seq.verdict, seq.degenerate_steps) == (verdict, degenerate)
+    assert all(x.tobytes() == y.tobytes() for x, y in zip(seq.iterates, iterates, strict=True))
+
+
+def test_certificate_leaves_a_raising_step_to_the_exact_path():
+    # the exact step at V_1 = -0.5 is degenerate; the next iterate -49 makes
+    # S = -48, whose large |lambda| would put v below 1 and clear its diagonal
+    params = scalar_params(0.9, delta=[2.0], a=10.0)
+    with pytest.raises(ValueError, match="innovation covariance must be positive definite"):
+        iterate_bound(np.array([[-0.5]]), params, 50, recompute=True)
+
+
+def test_preset_bound_steps_mostly_skip_the_exact_step(monkeypatch):
+    # A1's bound runs 1618 steps, 27 with w > 0; certificates clear all but one
+    # of the 1591 degenerate steps, the same ones on every run
+    calls = []
+
+    def spy(*args):
+        calls.append(1)
+        return retention_scalar(*args)
+
+    monkeypatch.setattr(analysis, "retention_scalar", spy)
+    scenario = scenario_preset("three-tank-groupA1")
+    counts = []
+    for _ in range(2):
+        calls.clear()
+        seq, _ = compute_bound(scenario, max_steps=10_000)
+        assert (seq.verdict, len(seq.iterates), seq.degenerate_steps) == ("converged", 1619, 1591)
+        counts.append(len(calls))
+    assert counts[0] == counts[1] == 28
 
 
 def test_iterate_bound_requires_matching_mode_inputs():

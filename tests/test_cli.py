@@ -453,11 +453,19 @@ def missing(key):
       for key in ("channel", "codec", "horizon")),
     (missing("gamma_eve"), scalar_config(channel={"gamma": [0.9]})),
     (missing("s"), scalar_config(codec={"a": [2.0], "delta": [0.01]})),
+    (must("gamma_bar"), {"preset": "three-tank-groupA1", "gamma_bar": [True, 0.9, 0.9]}),
+    (must("s"), {"preset": "three-tank-groupA1", "s": True}),
+    (r"\ba must hold numbers, got None$", {"preset": "three-tank-groupA1", "a": [None, 0.5, 5]}),
+    (r"\bs must be a number, got False$",
+     scalar_config(codec={"a": [2.0], "delta": [0.01], "s": False})),
+    (must("gamma_bar_eve"), scalar_config(channel={"gamma": [0.9], "gamma_eve": [True]})),
 ], ids=["preset-s-null", "full-s-null", "a-string", "gamma-string", "channel-int",
         "codec-list", "override-int", "sensor-int", "sensors-int", "sensors-object",
         "model-int", "matrix-string", "vector-ragged", "top-level-list",
         "preset-s-string", "preset-a-strings", "full-s-string", "full-gamma-string",
-        "no-channel", "no-codec", "no-horizon", "no-gamma-eve", "no-s"])
+        "no-channel", "no-codec", "no-horizon", "no-gamma-eve", "no-s",
+        "preset-gamma-bool", "preset-s-bool", "preset-a-null", "full-s-bool",
+        "full-gamma-eve-bool"])
 def test_config_fault_names_its_key(capsys, tmp_path, want, cfg):
     line = config_fault(capsys, tmp_path, "simulate", cfg)
     assert re.search(want, line), line
