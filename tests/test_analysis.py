@@ -383,10 +383,10 @@ def exact_steps_only():
 def test_iterate_bound_matches_per_sensor_reference(seed, d, gammas, s, recompute, coarse,
                                                    indefinite):
     # the batched step must do the old step's floating-point work bit for bit.
-    # Coarse steps on a plant at the stability edge give degenerate runs that
-    # outlast SPAN_MAX and then turn to w > 0 inside a certified span; an
-    # indefinite V_1 with a small Q drives S = C X C^T + R indefinite, often
-    # after certified steps
+    # Coarse steps on a plant at the stability edge give degenerate runs longer
+    # than SPAN_MAX, some of which turn to w > 0 inside a span; an indefinite
+    # V_1 with a small Q can drive S = C X C^T + R indefinite, sometimes after
+    # certified steps
     rng = np.random.default_rng(seed)
     sensors = []
     for _ in gammas:
