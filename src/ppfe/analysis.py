@@ -16,11 +16,9 @@ from .model import SensorModel, psd_factor, stack_sensors, symmetrize
 
 GAMMA_CAP = 1.0 - 1e-9
 DIVERGENCE_TRACE = 1e12
-# iterate_bound's degenerate-step certificate: the most steps one certificate
-# clears, and its rounding margin relative to |C|^2 |X| + |R| (Frobenius norms),
-# ~1e6 times the rounding of the products and eigvalsh calls it stands in for
+# iterate_bound's run-ahead after a degenerate step: the most iterates one
+# batched evaluation of the retention scalar covers
 SPAN_MAX = 64
-CERT_RTOL = 1e-10
 # pbh_unit_circle: distance that puts an eigenvalue on the unit circle; rank cut-off
 PBH_EIG_TOL = 1e-8
 PBH_RANK_RTOL = 1e-10
@@ -136,14 +134,16 @@ def distortion_rates(sigma: np.ndarray, groups, delta: np.ndarray, s: float) -> 
 
     `sigma` must be symmetric; `groups` is `BoundParams.groups`. One batched
     eigvalsh per output dimension gives each lambda_min(C_i Sigma C_i^T + R_i).
+    A stack of Sigma (leading axes) gives the stack of rate vectors, each with
+    the bits of its own call, and raises if any Sigma of it would.
     """
-    lam = np.empty(delta.size)
+    lam = np.empty(sigma.shape[:-2] + delta.shape)
     for idx, c, ct, r in groups:
-        lam[idx] = np.linalg.eigvalsh(c @ sigma @ ct + r)[:, 0]
-    if lam.min() <= 0.0:
+        lam[..., idx] = np.linalg.eigvalsh(c @ sigma[..., None, :, :] @ ct + r)[..., 0]
+    if np.count_nonzero(lam.min(axis=-1) <= 0.0):
         raise ValueError("innovation covariance must be positive definite")
     rates = np.minimum(1.0 - 1e-6, (s * s) * (delta * delta / 4.0) / lam)
-    if rates.min() <= 0.0:
+    if np.count_nonzero(rates.min(axis=-1) <= 0.0):
         raise ValueError("distortion rate must be positive")
     return rates
 
@@ -151,30 +151,30 @@ def distortion_rates(sigma: np.ndarray, groups, delta: np.ndarray, s: float) -> 
 def inflation_diag(rates: np.ndarray, s: float, channel: np.ndarray) -> np.ndarray:
     """Diagonal of the block-diagonal inflation matrix V: per sensor
     sqrt(s^2 d + |s| eta + d/(|s| eta)) at eta = sqrt(d)/|s|, where the last two
-    terms are smallest (2 sqrt(d)), on each of the sensor's stacked rows."""
+    terms are smallest (2 sqrt(d)), on each of the sensor's stacked rows. A
+    stack of rate vectors gives the stack of diagonals."""
     s_abs = abs(s)
     eta = np.sqrt(rates) / s_abs
-    return np.sqrt(s * s * rates + s_abs * eta + rates / (s_abs * eta))[channel]
+    return np.sqrt(s * s * rates + s_abs * eta + rates / (s_abs * eta))[..., channel]
 
 
-def retention_scalar(sigma_minus, c_stack, r_block, v) -> float:
+def retention_scalar(sigma_minus, c_stack, r_block, v) -> float | np.ndarray:
     """sqrt(lambda_min(S - V S V) / lambda_max(S)) for the stacked innovation
     covariance S = C Sigma C^T + R of a symmetric Sigma and V = diag(v).
 
     Degenerates to 0 when S - V S V is indefinite, i.e. the encoding noise
     overwhelms the innovation and the bound falls back to the prediction-only
     recursion; `iterate_bound` counts these steps. One eigvalsh call serves S
-    and S - V S V.
+    and S - V S V. A stack of Sigma (leading axes) with the stack of their v
+    gives the array of scalars, each with the bits of its own call, and raises
+    if any S of the stack is singular.
     """
     s_mat = symmetrize(c_stack @ sigma_minus @ c_stack.T + r_block)
-    vsv = (v[:, None] * s_mat) * v[None, :]
+    vsv = (v[..., :, None] * s_mat) * v[..., None, :]
     eig = np.linalg.eigvalsh(np.array((s_mat, symmetrize(s_mat - vsv))))
-    if eig[0, 0] <= 0.0:
+    if np.count_nonzero(eig[0, ..., 0] <= 0.0):
         raise ValueError("stacked innovation covariance is singular")
-    lam = float(eig[1, 0])
-    if lam < 0.0:
-        return 0.0
-    return math.sqrt(lam / float(eig[0, -1]))
+    return np.sqrt(np.maximum(eig[1, ..., 0], 0.0) / eig[0, ..., -1])
 
 
 def hadamard_weight(gamma_bar, channel: np.ndarray) -> np.ndarray:
@@ -213,25 +213,6 @@ def riccati_map(x: np.ndarray, params: BoundParams, w: float) -> np.ndarray:
     return symmetrize(a @ x @ a.T + params.qeff - gain_term)
 
 
-def _degenerate_prefix(xs: np.ndarray, params: BoundParams) -> int:
-    """How many leading iterates of the stack `xs` an exact recompute-mode step
-    maps with w = 0 and without raising (see `iterate_bound`)."""
-    c, s = params.c_stack, params.s
-    tol = CERT_RTOL * (np.sum(c * c) * np.sqrt(np.sum(xs * xs, axis=(1, 2)))
-                       + np.linalg.norm(params.r_block))
-    lam_hi = np.empty((len(xs), params.gamma_bar.size))
-    for idx, cg, ctg, rg in params.groups:
-        lam_hi[:, idx] = np.abs(np.linalg.eigvalsh(cg @ xs[:, None] @ ctg + rg)[..., 0])
-    rates = np.minimum(1.0 - 1e-6, (s * s) * (params.delta * params.delta / 4.0)
-                       / (lam_hi + tol[:, None]))
-    v = inflation_diag(rates.T, s, params.channel).T
-    s_mat = c @ xs @ c.T + params.r_block
-    ok = ((np.linalg.eigvalsh(s_mat)[:, 0] > tol) & (rates.min(axis=1) > 0.0)
-          & ((np.diagonal(s_mat, axis1=1, axis2=2) * (1.0 - v * v)).min(axis=1)
-             < -(3.0 + s * s) * tol))
-    return ok.size if ok.all() else int(ok.argmin())
-
-
 def iterate_bound(
     v1: np.ndarray,
     params: BoundParams,
@@ -249,21 +230,19 @@ def iterate_bound(
     Convergence is declared at relative Frobenius change < tol, divergence at a
     trace above DIVERGENCE_TRACE or not finite.
 
-    In recompute mode, after an exact step returns w = 0, the loop runs the
-    w = 0 map ahead over up to `span` steps and clears them with one batched
-    certificate (`_degenerate_prefix`). With tol = CERT_RTOL (|C|^2 |X| + |R|)
-    per iterate X, a step is cleared only when S = C X C^T + R has
-    lambda_min > tol, so neither the sensor blocks (by interlacing) nor S make
-    the exact step raise; when each block's lambda_min + tol, an upper bound,
-    gives every distortion rate > 0 and inflation entries v that are lower
-    bounds; and when some row has S_jj (1 - v_j^2) < -(3 + s^2) tol, so
-    lambda_min(S - V S V) < 0 and the exact w is 0. The leading cleared steps
-    are accepted and the exact step runs at the first uncleared one. The span
-    doubles while certificates clear it all, halves on a miss and is capped
-    at SPAN_MAX. Accepted iterates come from the same `riccati_map` calls on
-    the same bits as the exact steps, and a step that would raise is never
-    cleared, so iterates, traces, verdicts, degenerate counts and errors are
-    those of running every step exactly.
+    In recompute mode, every step's w comes from one arithmetic:
+    `distortion_rates`, `inflation_diag` and `retention_scalar`, called on a
+    stack of iterates. After a degenerate step (w = 0) the loop runs the w = 0
+    map ahead from the current iterate and evaluates w at up to `span`
+    iterates of that run in one call. It steps through the leading iterates
+    with w = 0, and from the first one with w != 0 with the w that call gave.
+    A call that raises is repeated on the current iterate alone, which raises
+    where and how the step-by-step run would, or gives its w. The span doubles
+    while a call finds every w = 0, halves otherwise and is capped at
+    SPAN_MAX. The stacked calls give each iterate the bits of its own call,
+    and the run ahead makes the `riccati_map` calls the steps make, so
+    iterates, traces, verdicts, degenerate counts and errors do not depend on
+    the span.
     """
     if max_steps < 1:
         raise ValueError("max_steps must be >= 1")
@@ -272,38 +251,43 @@ def iterate_bound(
     if not recompute and params.distortion_rates is None:
         raise ValueError("fixed mode needs distortion rates in params.distortion_rates")
 
-    def step_w(x):
-        rates = (distortion_rates(x, params.groups, params.delta, params.s)
-                 if recompute else params.distortion_rates)
-        v = inflation_diag(rates, params.s, params.channel)
-        return retention_scalar(x, params.c_stack, params.r_block, v)
-
     current = symmetrize(np.asarray(v1, dtype=float))
     iterates = [current]
     traces = [float(current.trace())]
     degenerate = 0
     converged = False
     diverged = False
-    w = None if recompute else step_w(current)
-    span, speculate, ahead = 1, False, []
+    w = None if recompute else retention_scalar(
+        current, params.c_stack, params.r_block,
+        inflation_diag(params.distortion_rates, params.s, params.channel))
+    # ys[0] is the current iterate and ys[1:] its w = 0 run; ws holds their w
+    span, ys, ws = 1, [], []
     for _ in range(max_steps - 1):
-        if speculate and not ahead:
+        if recompute and not ws:
             ys = [current]
-            for _ in range(min(span, max_steps - len(iterates))):
-                ys.append(riccati_map(ys[-1], params, 0.0))
-                if not float(ys[-1].trace()) <= DIVERGENCE_TRACE:
+            for _ in range(min(span, max_steps - len(iterates)) - 1 if w == 0.0 else 0):
+                y = riccati_map(ys[-1], params, 0.0)
+                if not float(y.trace()) <= DIVERGENCE_TRACE:
                     break
-            cleared = _degenerate_prefix(np.array(ys[:-1]), params)
-            speculate = cleared == len(ys) - 1
-            span = min(2 * span, SPAN_MAX) if speculate else max(1, span // 2)
-            ahead = ys[cleared:0:-1]
-        if ahead:
-            w, nxt = 0.0, ahead.pop()
-        else:
-            if recompute:
-                w = step_w(current)
-            nxt = riccati_map(current, params, w)
-            speculate = recompute and w == 0.0
+                ys.append(y)
+            for xs in (np.array(ys), current[None]):
+                try:
+                    rates = distortion_rates(xs, params.groups, params.delta, params.s)
+                    ws = retention_scalar(xs, params.c_stack, params.r_block,
+                                          inflation_diag(rates, params.s, params.channel)).tolist()
+                    break
+                except ValueError:  # from some iterate: retry the current one alone
+                    if len(xs) == 1:
+                        raise
+            if w == 0.0:
+                span = (min(2 * span, SPAN_MAX) if len(ws) == len(ys) and not any(ws)
+                        else max(1, span // 2))
+        if recompute:
+            w = ws.pop(0)
+            del ys[0]
+            if w != 0.0:
+                ws.clear()
+        nxt = ys[0] if ys and w == 0.0 else riccati_map(current, params, w)
         if w == 0.0:
             degenerate += 1
         iterates.append(nxt)

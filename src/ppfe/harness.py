@@ -64,6 +64,8 @@ class Scenario:
 
     def __post_init__(self):
         m = len(self.sensors)
+        if m == 0:
+            raise ValueError("sensors must hold at least one sensor")
         for label in ("gamma_bar", "gamma_bar_eve", "a", "delta"):
             v = as_floats(getattr(self, label), label, ndmin=1)
             if v.shape != (m,):

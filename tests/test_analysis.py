@@ -370,8 +370,8 @@ def outcome(run):
 
 
 def exact_steps_only():
-    """Certificates clear no step, so every step of `iterate_bound` is exact."""
-    return mock.patch.object(analysis, "_degenerate_prefix", lambda xs, params: 0)
+    """Each evaluation of w covers one iterate, so `iterate_bound` runs step by step."""
+    return mock.patch.object(analysis, "SPAN_MAX", 1)
 
 
 @settings(max_examples=50, deadline=None)
@@ -385,8 +385,8 @@ def test_iterate_bound_matches_per_sensor_reference(seed, d, gammas, s, recomput
     # the batched step must do the old step's floating-point work bit for bit.
     # Coarse steps on a plant at the stability edge give degenerate runs longer
     # than SPAN_MAX, some of which turn to w > 0 inside a span; an indefinite
-    # V_1 with a small Q can drive S = C X C^T + R indefinite, sometimes after
-    # certified steps
+    # V_1 with a small Q can drive S = C X C^T + R indefinite, sometimes inside
+    # a run ahead
     rng = np.random.default_rng(seed)
     sensors = []
     for _ in gammas:
@@ -424,11 +424,10 @@ def test_iterate_bound_matches_per_sensor_reference(seed, d, gammas, s, recomput
 
 
 @pytest.mark.parametrize("gap", [1e-12, -1e-12], ids=["just-short", "just-degenerate"])
-def test_certificate_leaves_a_knife_edge_step_to_the_exact_path(gap):
+def test_run_ahead_leaves_the_w_zero_run_at_a_knife_edge_step(gap):
     # a scalar plant whose w = 0 run puts v^2 = 1 - gap at iterate 99, inside
-    # the span of iterates 64..119 that follows 63 certified steps. There
-    # S - V S V = S gap, so the step is degenerate exactly when gap < 0,
-    # closer to the edge than any margin
+    # the evaluation of iterates 64..118 that follows 64 degenerate steps.
+    # There S - V S V = S gap, so the step is degenerate exactly when gap < 0
     x = 1.0
     for _ in range(99):
         x = 1.01 * 1.01 * x + 1.0
@@ -444,17 +443,49 @@ def test_certificate_leaves_a_knife_edge_step_to_the_exact_path(gap):
     assert all(x.tobytes() == y.tobytes() for x, y in zip(seq.iterates, iterates, strict=True))
 
 
-def test_certificate_leaves_a_raising_step_to_the_exact_path():
-    # the exact step at V_1 = -0.5 is degenerate; the next iterate -49 makes
-    # S = -48, whose large |lambda| would put v below 1 and clear its diagonal
+def test_run_ahead_raises_at_an_indefinite_iterate():
+    # the step at V_1 = -0.5 is degenerate; the next iterate -49 makes S = -48
     params = scalar_params(0.9, delta=[2.0], a=10.0)
     with pytest.raises(ValueError, match="innovation covariance must be positive definite"):
         iterate_bound(np.array([[-0.5]]), params, 50, recompute=True)
 
 
-def test_preset_bound_steps_mostly_skip_the_exact_step(monkeypatch):
-    # A1's bound runs 1618 steps, 27 with w > 0; certificates clear all but one
-    # of the 1591 degenerate steps, the same ones on every run
+def test_run_ahead_that_raises_reevaluates_the_current_iterate_alone():
+    # two sensors C_i = R_i = 1 and coarse steps on x -> 4 x + 0.01 from -0.04:
+    # iterates 0 and 1 are degenerate, iterate 2 (-0.59) has positive blocks
+    # 1 + x but a singular stacked S (1 + 2 x <= 0), and iterate 3 (-2.35), in
+    # the same evaluation, has negative blocks. The batched call raises the
+    # block message; the bound must raise iterate 2's own
+    sensor = SensorModel(C=[[1.0]], R=[[1.0]])
+    params = BoundParams(A=[[2.0]], qeff=[[0.01]], sensors=(sensor, sensor),
+                         gamma_bar=[0.9, 0.9], s=1.0, delta=[100.0, 100.0])
+    run = reference_bound(np.array([[-0.04]]), params, 3, True, 1e-10)[0]
+    assert [float(x[0, 0]) for x in run] == pytest.approx([-0.04, -0.15, -0.59])
+    pair = np.array([run[2], riccati_map(run[2], params, 0.0)])
+    with pytest.raises(ValueError, match="^innovation covariance must be positive definite$"):
+        distortion_rates(pair, params.groups, params.delta, params.s)
+    with pytest.raises(ValueError, match="^stacked innovation covariance is singular$"):
+        iterate_bound(np.array([[-0.04]]), params, 50, recompute=True)
+    with exact_steps_only(), pytest.raises(ValueError, match="^stacked innovation covariance"):
+        iterate_bound(np.array([[-0.04]]), params, 50, recompute=True)
+
+
+def test_preset_bounds_do_not_depend_on_the_span():
+    # A2 and A3 are outside perfbench's bound-sweep references
+    for name in ("A1", "A2", "A3", "D1", "D2", "D3"):
+        scenario = scenario_preset(f"three-tank-group{name}")
+        batched, _ = compute_bound(scenario, max_steps=10_000)
+        with exact_steps_only():
+            exact, _ = compute_bound(scenario, max_steps=10_000)
+        assert (batched.verdict, batched.degenerate_steps) == (exact.verdict, exact.degenerate_steps)
+        assert batched.traces.tobytes() == exact.traces.tobytes()
+        assert all(x.tobytes() == y.tobytes()
+                   for x, y in zip(batched.iterates, exact.iterates, strict=True))
+
+
+def test_preset_bound_evaluates_w_in_few_batched_calls(monkeypatch):
+    # A1's bound runs 1618 steps, 27 with w > 0; 58 calls evaluate w for all
+    # of them, the same ones on every run
     calls = []
 
     def spy(*args):
@@ -469,7 +500,7 @@ def test_preset_bound_steps_mostly_skip_the_exact_step(monkeypatch):
         seq, _ = compute_bound(scenario, max_steps=10_000)
         assert (seq.verdict, len(seq.iterates), seq.degenerate_steps) == ("converged", 1619, 1591)
         counts.append(len(calls))
-    assert counts[0] == counts[1] == 28
+    assert counts[0] == counts[1] == 58
 
 
 def test_iterate_bound_requires_matching_mode_inputs():

@@ -459,16 +459,21 @@ def missing(key):
     (r"\bs must be a number, got False$",
      scalar_config(codec={"a": [2.0], "delta": [0.01], "s": False})),
     (must("gamma_bar_eve"), scalar_config(channel={"gamma": [0.9], "gamma_eve": [True]})),
+    (must("sensors"), scalar_config(model=model_with(sensors=[]),
+                                    channel={"gamma": [], "gamma_eve": []},
+                                    codec={"a": [], "delta": [], "s": 1.0})),
 ], ids=["preset-s-null", "full-s-null", "a-string", "gamma-string", "channel-int",
         "codec-list", "override-int", "sensor-int", "sensors-int", "sensors-object",
         "model-int", "matrix-string", "vector-ragged", "top-level-list",
         "preset-s-string", "preset-a-strings", "full-s-string", "full-gamma-string",
         "no-channel", "no-codec", "no-horizon", "no-gamma-eve", "no-s",
         "preset-gamma-bool", "preset-s-bool", "preset-a-null", "full-s-bool",
-        "full-gamma-eve-bool"])
+        "full-gamma-eve-bool", "no-sensors"])
 def test_config_fault_names_its_key(capsys, tmp_path, want, cfg):
-    line = config_fault(capsys, tmp_path, "simulate", cfg)
-    assert re.search(want, line), line
+    # every command builds its scenario the same way, so each must stop there
+    for command in ("simulate", "bound", "conditions"):
+        line = config_fault(capsys, tmp_path, command, cfg)
+        assert re.search(want, line), (command, line)
 
 
 @pytest.mark.parametrize("override", [
