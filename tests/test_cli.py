@@ -1,3 +1,6 @@
+import contextlib
+import functools
+import io
 import json
 import math
 import os
@@ -5,6 +8,7 @@ import re
 import subprocess
 import sys
 from pathlib import Path
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -13,13 +17,27 @@ from ppfe.cli import main
 
 SRC = str(Path(__file__).resolve().parent.parent / "src")
 
+# a warning inside `main` fails the test, as a warning line on a process's
+# stderr fails the one-line stderr checks
+pytestmark = pytest.mark.filterwarnings("error")
+
 
 def run_cli(*args, env_extra=None):
-    env = dict(os.environ)
-    env["PYTHONPATH"] = SRC + os.pathsep + env.get("PYTHONPATH", "")
-    if env_extra:
-        env.update(env_extra)
-    return subprocess.run([sys.executable, "-m", "ppfe.cli", *args],
+    """`ppfe *args` run in this process, with `env_extra` set in the environment."""
+    out, err = io.StringIO(), io.StringIO()
+    with mock.patch.dict(os.environ, env_extra or {}), \
+            contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        try:
+            rc = main(list(args))
+        except SystemExit as exc:  # argparse's usage errors
+            rc = exc.code
+    return subprocess.CompletedProcess(["ppfe", *args], rc, out.getvalue(), err.getvalue())
+
+
+def run_module(module, *args):
+    """`python -m module *args` in a fresh interpreter, for what the process decides."""
+    env = dict(os.environ, PYTHONPATH=SRC + os.pathsep + os.environ.get("PYTHONPATH", ""))
+    return subprocess.run([sys.executable, "-m", module, *args],
                           capture_output=True, text=True, env=env)
 
 
@@ -40,11 +58,13 @@ def scalar_scenario_file(tmp_path_factory):
 
 
 def test_simulate_writes_outputs_and_is_deterministic(tmp_path):
+    # one run through `python -m ppfe` in a fresh interpreter, one in this
+    # process after every earlier test: no state carries over between runs
     out1 = tmp_path / "r1"
     out2 = tmp_path / "r2"
-    for out in (out1, out2):
-        proc = run_cli("simulate", "--preset", "three-tank-groupA1", "--seed", "7",
-                       "--horizon", "25", "--trials", "3", "--out", str(out))
+    for run, out in ((functools.partial(run_module, "ppfe"), out1), (run_cli, out2)):
+        proc = run("simulate", "--preset", "three-tank-groupA1", "--seed", "7",
+                   "--horizon", "25", "--trials", "3", "--out", str(out))
         assert proc.returncode == 0, proc.stderr
         assert (out / "mse.csv").exists()
         assert (out / "events.csv").exists()
@@ -368,27 +388,40 @@ def test_non_string_name_is_usage_error(tmp_path, form):
     assert not out.exists()
 
 
-def config_fault(capsys, tmp_path, command, cfg) -> str:
+def config_fault(tmp_path, command, cfg) -> str:
     """The one stderr line of a command that must stop at build with code 2 and no
-    output directory; run in this process, so a traceback fails the test."""
+    output directory; an exception out of `main` fails the test."""
     out = tmp_path / "out"
-    rc = main([command, "--scenario", write_scenario(tmp_path, cfg), "--out", str(out)])
-    lines = capsys.readouterr().err.strip().splitlines()
-    assert rc == 2 and len(lines) == 1, lines
+    proc = run_cli(command, "--scenario", write_scenario(tmp_path, cfg), "--out", str(out))
+    lines = proc.stderr.strip().splitlines()
+    assert proc.returncode == 2 and len(lines) == 1, lines
     assert not out.exists()
     return lines[0]
 
 
+def test_config_fault_exits_2_from_a_fresh_interpreter(tmp_path):
+    # `python -m ppfe.cli` turns main's code into the exit status, and the
+    # process prints the one error line: no traceback, no warning
+    cfg = scalar_config(model=model_with(A=[[math.nan]]))
+    out = tmp_path / "out"
+    proc = run_module("ppfe.cli", "simulate", "--scenario", write_scenario(tmp_path, cfg),
+                      "--out", str(out))
+    lines = proc.stderr.strip().splitlines()
+    assert proc.returncode == 2 and len(lines) == 1, proc.stderr
+    assert "A must be finite" in lines[0] and "Traceback" not in proc.stderr
+    assert not out.exists()
+
+
 @pytest.mark.parametrize("preset", [5, None])
-def test_non_string_preset_is_usage_error(capsys, tmp_path, preset):
-    line = config_fault(capsys, tmp_path, "simulate", {"preset": preset})
+def test_non_string_preset_is_usage_error(tmp_path, preset):
+    line = config_fault(tmp_path, "simulate", {"preset": preset})
     assert f"unknown scenario preset {preset!r}" in line
 
 
 @pytest.mark.parametrize("command", ["simulate", "conditions"])
 @pytest.mark.parametrize("form", ["preset", "full"])
 @pytest.mark.parametrize("key", ["gamma", "a", "delta"])
-def test_two_dimensional_channel_array_is_usage_error(capsys, tmp_path, command, form, key):
+def test_two_dimensional_channel_array_is_usage_error(tmp_path, command, form, key):
     # one row of M entries has M entries but is not one entry per channel
     label = "gamma_bar" if key == "gamma" else key
     if form == "preset":
@@ -396,7 +429,7 @@ def test_two_dimensional_channel_array_is_usage_error(capsys, tmp_path, command,
     else:
         cfg, m = scalar_config(), 1
         cfg["channel" if key == "gamma" else "codec"][key] = [[0.5]]
-    line = config_fault(capsys, tmp_path, command, cfg)
+    line = config_fault(tmp_path, command, cfg)
     assert f"{label} must have one entry per channel, shape ({m},)" in line
 
 
@@ -407,11 +440,11 @@ ONE_STATE = {"A": [[0.9]], "B": [[1.0]], "D": [[1.0]], "Q": [[0.04]], "P0": [[1.
 
 @pytest.mark.parametrize("command", ["simulate", "bound", "conditions"])
 @pytest.mark.parametrize("key, value", [*((k, math.nan) for k in ONE_STATE), ("P0", math.inf)])
-def test_non_finite_model_entry_is_usage_error(capsys, tmp_path, command, key, value):
+def test_non_finite_model_entry_is_usage_error(tmp_path, command, key, value):
     entries = dict(ONE_STATE, **{key: np.full(np.shape(ONE_STATE[key]), value).tolist()})
     model = {k: v for k, v in entries.items() if k not in ("C", "R", "E")}
     model["sensors"] = [{k: entries[k] for k in ("C", "R", "E")}]
-    line = config_fault(capsys, tmp_path, command, scalar_config(model=model))
+    line = config_fault(tmp_path, command, scalar_config(model=model))
     assert f"{key} must be finite" in line
 
 
@@ -469,10 +502,10 @@ def missing(key):
         "no-channel", "no-codec", "no-horizon", "no-gamma-eve", "no-s",
         "preset-gamma-bool", "preset-s-bool", "preset-a-null", "full-s-bool",
         "full-gamma-eve-bool", "no-sensors"])
-def test_config_fault_names_its_key(capsys, tmp_path, want, cfg):
+def test_config_fault_names_its_key(tmp_path, want, cfg):
     # every command builds its scenario the same way, so each must stop there
     for command in ("simulate", "bound", "conditions"):
-        line = config_fault(capsys, tmp_path, command, cfg)
+        line = config_fault(tmp_path, command, cfg)
         assert re.search(want, line), (command, line)
 
 
@@ -483,17 +516,17 @@ def test_config_fault_names_its_key(capsys, tmp_path, want, cfg):
     {"auth": [[1] * 10, [1] * 9], "wire": [[1] * 10, [1] * 10]},
     {"auth": [[1] * 10]},
 ], ids=["entry-2", "short-horizon", "ragged-links", "ragged-rows", "one-link"])
-def test_bad_outcome_override_is_usage_error(capsys, tmp_path, override):
-    line = config_fault(capsys, tmp_path, "simulate", scalar_config(outcome_override=override))
+def test_bad_outcome_override_is_usage_error(tmp_path, override):
+    line = config_fault(tmp_path, "simulate", scalar_config(outcome_override=override))
     assert "outcome_override" in line
 
 
 @pytest.mark.parametrize("tol", ["inf", "nan", "0", "-1"])
-def test_bound_tolerance_must_be_positive_and_finite(capsys, tmp_path, tol):
+def test_bound_tolerance_must_be_positive_and_finite(tmp_path, tol):
     # an infinite tolerance "converges" after two iterates, a NaN or non-positive
     # one never: either way the verdict would say nothing
     out = tmp_path / "out"
-    rc = main(["bound", "--preset", "three-tank-groupD3", "--tol", tol, "--out", str(out)])
-    lines = capsys.readouterr().err.strip().splitlines()
-    assert rc == 2 and len(lines) == 1 and "--tol must be positive and finite" in lines[0], lines
+    proc = run_cli("bound", "--preset", "three-tank-groupD3", "--tol", tol, "--out", str(out))
+    lines = proc.stderr.strip().splitlines()
+    assert proc.returncode == 2 and len(lines) == 1 and "--tol must be positive and finite" in lines[0], lines
     assert not out.exists()
