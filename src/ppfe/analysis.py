@@ -213,6 +213,12 @@ def riccati_map(x: np.ndarray, params: BoundParams, w: float) -> np.ndarray:
     return symmetrize(a @ x @ a.T + params.qeff - gain_term)
 
 
+def _fro(x: np.ndarray) -> float:
+    """`np.linalg.norm(x, "fro")` of a real matrix, bit for bit, without its dispatch."""
+    v = x.ravel("K")
+    return math.sqrt(v.dot(v))
+
+
 def iterate_bound(
     v1: np.ndarray,
     params: BoundParams,
@@ -260,16 +266,19 @@ def iterate_bound(
     w = None if recompute else retention_scalar(
         current, params.c_stack, params.r_block,
         inflation_diag(params.distortion_rates, params.s, params.channel))
-    # ys[0] is the current iterate and ys[1:] its w = 0 run; ws holds their w
-    span, ys, ws = 1, [], []
+    # ys[0] is the current iterate and ys[1:] its w = 0 run; ts holds their
+    # traces and ws their w
+    span, ys, ts, ws = 1, [], [], []
     for _ in range(max_steps - 1):
         if recompute and not ws:
-            ys = [current]
+            ys, ts = [current], [traces[-1]]
             for _ in range(min(span, max_steps - len(iterates)) - 1 if w == 0.0 else 0):
                 y = riccati_map(ys[-1], params, 0.0)
-                if not float(y.trace()) <= DIVERGENCE_TRACE:
+                tr = float(y.trace())
+                if not tr <= DIVERGENCE_TRACE:
                     break
                 ys.append(y)
+                ts.append(tr)
             for xs in (np.array(ys), current[None]):
                 try:
                     rates = distortion_rates(xs, params.groups, params.delta, params.s)
@@ -284,16 +293,19 @@ def iterate_bound(
                         else max(1, span // 2))
         if recompute:
             w = ws.pop(0)
-            del ys[0]
+            del ys[0], ts[0]
             if w != 0.0:
                 ws.clear()
-        nxt = ys[0] if ys and w == 0.0 else riccati_map(current, params, w)
+        if ys and w == 0.0:
+            nxt, tr = ys[0], ts[0]
+        else:
+            nxt = riccati_map(current, params, w)
+            tr = float(nxt.trace())
         if w == 0.0:
             degenerate += 1
         iterates.append(nxt)
-        rel = np.linalg.norm(nxt - current, "fro") / max(1.0, np.linalg.norm(current, "fro"))
+        rel = _fro(nxt - current) / max(1.0, _fro(current))
         current = nxt
-        tr = float(current.trace())
         traces.append(tr)
         if not tr <= DIVERGENCE_TRACE:
             diverged = True

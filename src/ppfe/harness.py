@@ -24,9 +24,16 @@ from .rng import substream
 
 EVE_SATURATION = 1e15
 
-# Most trials in one block. A three-tank block peaks at about 240 bytes per
-# trial-step, so a 500-step block of 256 trials peaks at about 31 MB.
+# Most trials in one block. A three-tank block's traced peak is about 130
+# bytes per trial-step, 72 of them the three (B, H, d_x) error series it
+# returns, so a 500-step block of 256 trials peaks near 17 MB.
 MAX_BLOCK = 256
+
+# Steps per window of plant noise, states, measurements and quantizer
+# uniforms. Drawn window by window rather than for the whole horizon, they
+# take about 90 bytes per three-tank trial-step less of a block's peak
+# (220 -> 130, 256 trials x 500 steps).
+WINDOW = 50
 
 # secrecy criterion (ii): fitted log growth rate may undershoot ln(min a_i>1) by this much
 SLOPE_MARGIN = 0.05
@@ -245,9 +252,11 @@ def run_block(scenario: Scenario, start: int, stop: int) -> BlockResult:
     """Trials start..stop-1 advanced together: plant -> encode -> both channels ->
     decode -> both filters, each step one set of array operations over the block.
 
-    Each trial draws its own (seed, role, trial) streams, each in one block
-    in the order a step-by-step draw would use. Both parties run the same
-    decoder and filter, so the row arrays hold one row per (party, trial):
+    Each trial draws its own (seed, role, trial) streams, in the order a
+    step-by-step draw would use; the plant and quantizer streams are drawn in
+    windows of WINDOW steps, so no whole-horizon states, measurements or
+    uniforms are held. Both parties run the same decoder and filter, so the
+    row arrays hold one row per (party, trial):
     the block's B legitimate rows, then one eavesdropper row per trial whose
     eavesdropper is still live. `tr` maps a row to its trial and `link` gives
     it its reception trace (authorized for the legitimate rows, wiretap for
@@ -272,7 +281,8 @@ def run_block(scenario: Scenario, start: int, stop: int) -> BlockResult:
     rdec = decoding_noise(scenario.codecs, ch, transparent)
     bu = model.inputs(h) @ model.B.T
 
-    states, meas = simulate_plants(model, sensors, h, [substream(seed, "plant", t) for t in trials])
+    plant = simulate_plants(model, sensors, h, [substream(seed, "plant", t) for t in trials],
+                            WINDOW)
     ov = scenario.outcome_override
     if ov is None:
         outcomes = sample_outcomes(scenario.gamma_bar, scenario.gamma_bar_eve, h,
@@ -281,7 +291,8 @@ def run_block(scenario: Scenario, start: int, stop: int) -> BlockResult:
         outcomes = np.broadcast_to(ov[:, None], (2, b, *ov.shape[1:]))
     events = detect_critical_events(*outcomes[:, :n]) + (start, 0, 0, 0)  # numbered in the run
     if not transparent:
-        uniforms = np.stack([substream(seed, "quantizer", t).random((h, ch.size)) for t in trials])
+        quantizers = [substream(seed, "quantizer", t) for t in trials]
+        uniforms = np.empty((b, WINDOW + 1, ch.size))    # a window has at most WINDOW + 1 steps
 
     link = outcomes[:2 if scenario.track_eavesdropper else 1].reshape(-1, *outcomes.shape[2:])
     tr = np.arange(len(link)) % b            # row -> trial of the block
@@ -293,8 +304,15 @@ def run_block(scenario: Scenario, start: int, stop: int) -> BlockResult:
     eve_err = np.full((b, h, d), np.nan)
     saturated_at = np.full(b, h)
     legit_time = scenario.eve_reference_policy == "legit-time"
+    hi = 0
     for k in range(h):
-        y = meas[:, k]
+        if k == hi:                          # the next window of plant and quantizer draws
+            lo, states, meas = next(plant)
+            hi = lo + meas.shape[1]
+            if not transparent:
+                for rng, u in zip(quantizers, uniforms):
+                    rng.random(out=u[:hi - lo])
+        y = meas[:, k - lo]
         eves = tr.size > b                   # some eavesdropper row is still live
         # "legit-time": an eavesdropper grows its own reference value over the overheard
         # ACK timing of its trial (before this step's ACK)
@@ -312,7 +330,7 @@ def run_block(scenario: Scenario, start: int, stop: int) -> BlockResult:
             if not finite.all():
                 raise ValueError(f"trial {trials[np.argmin(finite)]} (seed {seed}): "
                                  f"quantizer input must be finite at step {k}")
-            z = round_to_lattice(pre, delta, uniforms[:, k])
+            z = round_to_lattice(pre, delta, uniforms[:, k - lo])
 
         recv = link[:, :, k]
         with np.errstate(over="ignore", invalid="ignore"):
@@ -329,14 +347,14 @@ def run_block(scenario: Scenario, start: int, stop: int) -> BlockResult:
         init |= recv
         if k > 0:
             x, P = fusion.predict(x, P, bu[k - 1])
-        pred_err[:, k] = states[:, k] - x[:b]
+        pred_err[:, k] = states[:, k - lo] - x[:b]
         try:
             x, P = fusion.update(x, P, ybar, recv, rdec)
         except ConditioningError as exc:
             party = "eavesdropper" if exc.row >= b else "legitimate"
             raise ValueError(f"trial {trials[tr[exc.row]]} (seed {seed}): {party} filter: "
                              f"{exc}") from None
-        err = states[tr, k] - x
+        err = states[tr, k - lo] - x
         legit_err[:, k] = err[:b]
         if eves:
             # the filter itself can blow up one step before the decode check trips
@@ -392,7 +410,8 @@ def compute_bound(scenario: Scenario, tol: float = 1e-10,
 
 
 def _blocks(scenario: Scenario, workers: int):
-    """(start, stop, block result) in trial order. The trials split into
+    """Block results in trial order, each held only by the caller (a zip
+    would keep the last one while the next runs). The trials split into
     consecutive blocks whose sizes differ by at most one: one block per
     worker, or the fewest multiple of `workers` blocks that keeps each within
     MAX_BLOCK trials. The blocks run in a pool of at most one process per
@@ -407,38 +426,44 @@ def _blocks(scenario: Scenario, workers: int):
         from concurrent.futures import ProcessPoolExecutor
 
         with ProcessPoolExecutor(max_workers=procs) as pool:
-            yield from zip(starts, stops, pool.map(run_block, repeat(scenario), starts, stops))
+            yield from pool.map(run_block, repeat(scenario), starts, stops)
     else:
-        yield from zip(starts, stops, map(run_block, repeat(scenario), starts, stops))
+        yield from map(run_block, repeat(scenario), starts, stops)
 
 
 def run_monte_carlo(scenario: Scenario, workers: int = 1,
                     compute_bound_trace: bool = False) -> RunResult:
     """Block-parallel execution (see `_blocks`). A trial's results do not
-    depend on its block (see `run_block`) and are folded in trial order, so
-    the outputs are bitwise independent of the worker count."""
+    depend on its block (see `run_block`), and each block is folded into
+    running per-step sums as it arrives, trial by trial in trial order, so
+    the outputs are bitwise independent of the worker count and only one
+    block's error series are held at a time."""
     h, t, d = scenario.horizon, scenario.trials, scenario.model.d_x
-    legit, pred, eve = (np.empty((t, h, d)) for _ in range(3))
+    sq = np.empty((t, h))                    # squared prediction-error norms, for the SE
+    legit_sq, eve_sq, eve_sum = np.zeros(h), np.zeros(h), np.zeros((h, d))
     saturated_at = np.empty(t, dtype=int)
-    events = []
-    for lo, hi, block in _blocks(scenario, workers):
-        legit[lo:hi], pred[lo:hi], eve[lo:hi] = block.legit_err, block.pred_err, block.eve_err
+    events, lo = [], 0
+    for block in _blocks(scenario, workers):
+        hi = lo + len(block.eve_saturated_at)
+        sq[lo:hi] = np.einsum("bhd,bhd->bh", block.pred_err, block.pred_err)
         saturated_at[lo:hi] = block.eve_saturated_at
         events.append(block.events)
-    sat = np.arange(h) >= saturated_at[:, None]  # (T, H)
+        # trial by trial, so that no sum depends on the split into blocks; an
+        # eavesdropper entry is written, and finite, before its trial saturates
+        for e_legit, e_eve, stop in zip(block.legit_err, block.eve_err, saturated_at[lo:hi]):
+            legit_sq += np.einsum("hd,hd->h", e_legit, e_legit)
+            eve_sq[:stop] += np.einsum("hd,hd->h", e_eve[:stop], e_eve[:stop])
+            eve_sum[:stop] += e_eve[:stop]
+        lo = hi
+        del block, e_legit, e_eve            # freed before the next block runs
 
-    mse_legit = np.einsum("thd,thd->h", legit, legit) / t
-    sq = np.einsum("thd,thd->th", pred, pred)
     trace_se = sq.std(axis=0, ddof=1) / math.sqrt(t) if t > 1 else np.zeros(h)
-
-    # a saturated entry is NaN and counts as 0; a written one is finite
-    n_alive = (~sat).sum(axis=0)
-    eve = np.nan_to_num(eve)
-    eve_sq = np.einsum("thd,thd->th", eve, eve)
+    gone = np.cumsum(np.bincount(saturated_at, minlength=h + 1)[:h])  # saturated by step k
+    n_alive = t - gone
     with np.errstate(invalid="ignore", divide="ignore"):
-        mse_eve = np.where(n_alive > 0, eve_sq.sum(axis=0) / np.maximum(n_alive, 1), np.inf)
+        mse_eve = np.where(n_alive > 0, eve_sq / np.maximum(n_alive, 1), np.inf)
         mean_err = np.where(n_alive[:, None] > 0,
-                            eve.sum(axis=0) / np.maximum(n_alive, 1)[:, None], np.nan)
+                            eve_sum / np.maximum(n_alive, 1)[:, None], np.nan)
     if not scenario.track_eavesdropper:
         mse_eve = np.full(h, np.nan)
         mean_err = np.full((h, d), np.nan)
@@ -448,14 +473,14 @@ def run_monte_carlo(scenario: Scenario, workers: int = 1,
         bound_seq, bound_trace = compute_bound(scenario)
 
     return RunResult(
-        mse_legit=mse_legit,
+        mse_legit=legit_sq / t,
         mse_eve=mse_eve,
-        eve_saturated=sat.any(axis=0).astype(np.uint8),
+        eve_saturated=(gone > 0).astype(np.uint8),
         emp_cov_trace=sq.sum(axis=0) / t,
         emp_cov_trace_se=trace_se,
         eve_mean_err=mean_err,
         events=np.concatenate(events),
-        diverged_trials=int((saturated_at < h).sum()),
+        diverged_trials=int(gone[-1]),
         trials=t,
         horizon=h,
         bound=bound_seq,

@@ -2,7 +2,7 @@
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import NamedTuple
+from typing import Iterator, NamedTuple
 
 import numpy as np
 
@@ -228,33 +228,58 @@ def simulate_plants(
     sensors: list[SensorModel],
     horizon: int,
     rngs: list[np.random.Generator],
-) -> tuple[np.ndarray, np.ndarray]:
-    """Seeded trajectories for a block of trials, one generator per trial.
+    window: int | None = None,
+) -> Iterator[tuple[int, np.ndarray, np.ndarray]]:
+    """Seeded trajectories for a block of trials, one generator per trial,
+    yielded in consecutive windows of steps.
 
-    Returns states (B, horizon+1, d_x) and the row-stacked measurements
-    (B, horizon, sum d_y). Each generator is split into independent
-    init/process/measurement child streams, so the draw counts of one noise
-    source never shift another; each child stream is drawn in one block, in
-    the (step, sensor) order a step-by-step draw would use.
+    Each window of steps lo..hi-1 yields (lo, states, meas): states
+    (B, hi-lo+1, d_x) holds x_lo..x_hi and meas (B, hi-lo, sum d_y) the
+    row-stacked measurements y_lo..y_{hi-1}. The windows have `window` steps
+    (the whole horizon when None) and the last holds the rest, but never one
+    step alone: numpy computes a one-row matmul by another path, so a
+    one-step rest joins the window before it. Both arrays are views of
+    buffers that the next window overwrites; copy what must outlive it.
+
+    Each generator is split into independent init/process/measurement child
+    streams, so the draw counts of one noise source never shift another. Each
+    child stream is drawn window by window, in the (step, sensor) order a
+    step-by-step draw would use, so the values do not depend on the window.
     """
     if horizon < 1:
         raise ValueError("horizon must be >= 1")
+    if window is not None and window < 2:
+        raise ValueError(f"window must be >= 2 steps, got {window}")
+    edges = [*range(0, horizon, window or horizon), horizon]
+    if len(edges) > 2 and edges[-1] - edges[-2] == 1:
+        del edges[-2]
+    span = max(hi - lo for lo, hi in zip(edges, edges[1:]))
     streams = [rng.spawn(3) for rng in rngs]
-    d_v = [s.d_v for s in sensors]
-    z0 = np.stack([r_init.standard_normal(model.d_x) for r_init, _, _ in streams])
-    w = np.stack([r_proc.standard_normal((horizon, model.d_w)) for _, r_proc, _ in streams])
-    v = np.stack([r_meas.standard_normal((horizon, sum(d_v))) for _, _, r_meas in streams])
-
-    dw = (w @ psd_factor(model.Q).T) @ model.D.T
+    rows = np.cumsum([0, *(s.d_y for s in sensors)])
+    cols = np.cumsum([0, *(s.d_v for s in sensors)])
+    f_q = psd_factor(model.Q).T
+    f_r = [psd_factor(s.R).T for s in sensors]
     bu = model.inputs(horizon) @ model.B.T
-    states = np.empty((len(rngs), horizon + 1, model.d_x))
+    b = len(rngs)
+    w, v = np.empty((b, span, model.d_w)), np.empty((b, span, cols[-1]))
+    states, meas = np.empty((b, span + 1, model.d_x)), np.empty((b, span, rows[-1]))
+
+    z0 = np.stack([r_init.standard_normal(model.d_x) for r_init, _, _ in streams])
     states[:, 0] = model.x0_mean + z0 @ psd_factor(model.P0).T
-    for k in range(horizon):
-        states[:, k + 1] = states[:, k] @ model.A.T + bu[k] + dw[:, k]
-    cols = np.cumsum([0, *d_v])
-    meas = [states[:, :horizon] @ s.C.T + (v[..., cols[i]:cols[i + 1]] @ psd_factor(s.R).T) @ s.E.T
-            for i, s in enumerate(sensors)]
-    return states, np.concatenate(meas, axis=-1)
+    n = 0
+    for lo, hi in zip(edges, edges[1:]):
+        states[:, 0] = states[:, n]    # x_lo, the last state of the window before
+        n = hi - lo
+        for (_, r_proc, r_meas), w_t, v_t in zip(streams, w, v):
+            r_proc.standard_normal(out=w_t[:n])
+            r_meas.standard_normal(out=v_t[:n])
+        dw = (w[:, :n] @ f_q) @ model.D.T
+        for k in range(n):
+            states[:, k + 1] = states[:, k] @ model.A.T + bu[lo + k] + dw[:, k]
+        for i, s in enumerate(sensors):
+            meas[:, :n, rows[i]:rows[i + 1]] = (states[:, :n] @ s.C.T
+                                                + (v[:, :n, cols[i]:cols[i + 1]] @ f_r[i]) @ s.E.T)
+        yield lo, states[:, :n + 1], meas[:, :n]
 
 
 def simulate_plant(
@@ -263,8 +288,8 @@ def simulate_plant(
     horizon: int,
     rng: np.random.Generator,
 ) -> Trajectory:
-    """One seeded trajectory: `simulate_plants` for a single generator."""
-    states, meas = simulate_plants(model, sensors, horizon, [rng])
+    """One seeded trajectory: `simulate_plants` for a single generator, in one window."""
+    [(_, states, meas)] = simulate_plants(model, sensors, horizon, [rng])
     channel = stack_sensors(sensors)[2]
     return Trajectory(states=states[0],
                       measurements=tuple(meas[0][:, channel == i] for i in range(len(sensors))))

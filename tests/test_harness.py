@@ -4,12 +4,14 @@ import re
 from dataclasses import fields, is_dataclass, replace
 from pathlib import Path
 from types import SimpleNamespace
+from unittest import mock
 
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 from hypothesis.extra.numpy import arrays
 
+from ppfe import harness
 from ppfe.channel import sample_outcomes
 from ppfe.codec import (CodecOverflowError, ack, bootstrap_state, decode, eavesdrop_decode,
                         encode)
@@ -611,14 +613,26 @@ def test_engine_matches_recorded_fixtures(group, tmp_path):
         assert report[key] == summary[key]
 
 
-@pytest.mark.parametrize("trials", [33, 69])
-def test_outputs_independent_of_workers_and_blocks(trials, tmp_path):
-    sc = scenario_preset("three-tank-groupA1", seed=11, horizon=60, trials=trials)
+@pytest.mark.parametrize("trials, a, transparent", [
+    (33, (0.5, 0.5, 5.0), False), (69, (0.5, 0.5, 5.0), False),
+    (33, (0.5, 0.5, 0.5), False), (33, (0.5, 0.5, 5.0), True),
+], ids=["33", "69", "nogrowth", "transparent"])
+def test_outputs_independent_of_workers_and_blocks(trials, a, transparent, tmp_path, monkeypatch):
+    sc = replace(scenario_preset("three-tank-groupA1", seed=11, horizon=60, trials=trials),
+                 a=a, transparent_quantizer=transparent)
     # eavesdropper saturation lands mid-block: the trials saturate at different
-    # steps, some not at all, so the filter runs on a shrinking subset; workers
-    # 1, 2 and 3 split the trials into 1, 2 and 3 blocks
-    steps = run_block(sc, 0, trials).eve_saturated_at
-    assert (steps < sc.horizon).any() and len(set(steps.tolist())) > 2
+    # steps, some not at all, so the filter runs on a shrinking subset (without a
+    # growing channel none saturates); workers 1, 2 and 3 split the trials into
+    # 1, 2 and 3 blocks
+    block = run_block(sc, 0, trials)
+    steps = block.eve_saturated_at
+    assert ((steps < sc.horizon).any() and len(set(steps.tolist())) > 2) == (max(a) > 1.0)
+    # the plant and quantizer draws come in windows of WINDOW steps (50 and 10
+    # here); no window length changes a byte
+    for window in (2, 7, sc.horizon):
+        monkeypatch.setattr(harness, "WINDOW", window)
+        assert_same_blocks(run_block(sc, 0, trials), block)
+    monkeypatch.undo()
     outputs = []
     for workers in (1, 2, 3):
         res = run_monte_carlo(sc, workers=workers)
@@ -630,6 +644,30 @@ def test_outputs_independent_of_workers_and_blocks(trials, tmp_path):
                         res.diverged_trials))
     assert outputs[1] == outputs[0] and outputs[2] == outputs[0]
 
+
+
+def test_monte_carlo_memory_does_not_grow_with_blocks():
+    # blocks are folded into per-step sums as they arrive and freed before the
+    # next one runs, so past one block the run adds only its (T, H) squared
+    # prediction-error norms and their standard error's temporary, 16 bytes per
+    # trial-step. Measured: 16-17 bytes per added trial-step; 52 when the last
+    # block outlives the next one's run; 103-117 when every trial's (H, d_x)
+    # error series were gathered before the sums
+    import tracemalloc
+
+    # numpy's first run allocates lasting caches, which would count in the first peak
+    run_monte_carlo(scenario_preset("three-tank-groupA1", seed=3, horizon=10, trials=4))
+    peaks = []
+    for trials in (256, 768):   # one block, then three of MAX_BLOCK trials
+        sc = scenario_preset("three-tank-groupA1", seed=3, horizon=100, trials=trials)
+        tracemalloc.start()
+        try:
+            run_monte_carlo(sc, workers=1)
+            peaks.append(tracemalloc.get_traced_memory()[1])
+        finally:
+            tracemalloc.stop()
+    per_trial_step = (peaks[1] - peaks[0]) / (512 * 100)
+    assert per_trial_step < 32, (peaks, per_trial_step)
 
 
 @pytest.mark.parametrize("cpus, workers, want", [(2, 3000, [2]), (None, 3000, []),
@@ -736,6 +774,11 @@ def test_block_outputs_do_not_depend_on_block_size(seed, d, m, policy, track):
     # blocks included; 33 trials split into blocks of 32 leave a one-trial tail
     sc = random_block_scenario(seed, d, m, policy, track, trials=33, horizon=16)
     whole = run_block(sc, 0, sc.trials)
+    # and whichever window length the plant and quantizer draws come in; at
+    # horizon 16 a window of 5 leaves a one-step rest, which joins the last window
+    for window in (2, 5, 7, sc.horizon):
+        with mock.patch.object(harness, "WINDOW", window):
+            assert_same_blocks(run_block(sc, 0, sc.trials), whole)
     for size in (1, 2, 7, 32):
         parts = [run_block(sc, lo, min(lo + size, sc.trials)) for lo in range(0, sc.trials, size)]
         for name in ("legit_err", "pred_err", "eve_err", "eve_saturated_at"):

@@ -80,6 +80,46 @@ def test_simulate_different_trials_differ():
     assert not np.array_equal(t1.states, t2.states)
 
 
+def windowed_plants(model, sensors, horizon, window):
+    """Window lengths, states and measurements of eight trials, windows joined."""
+    lengths, states, meas = [], [], []
+    for lo, s, m in simulate_plants(model, sensors, horizon,
+                                    [substream(5, "plant", t) for t in range(8)], window):
+        lengths.append(m.shape[1])
+        states.append(s[:, :-1].copy())
+        meas.append(m.copy())
+    states.append(s[:, -1:])
+    return lengths, np.concatenate(states, axis=1), np.concatenate(meas, axis=1)
+
+
+@pytest.mark.parametrize("horizon", [1, 2, 9, 15, 22])
+def test_plant_windows_do_not_change_the_draws(horizon):
+    # each child stream is drawn window by window, so the states and measurements
+    # are byte-equal to one window's at every window length; the windows have
+    # `window` steps and the last takes the rest, a one-step rest joining the
+    # window before it (9 in windows of 2, 15 and 22 in windows of 7, 9 in 8).
+    # The entries are dense, so that a one-step window would round differently
+    rng = np.random.default_rng(horizon)
+    r = rng.normal(size=(3, 3))
+    model = SystemModel(A=0.3 * rng.normal(size=(3, 3)), B=rng.normal(size=(3, 1)),
+                        D=rng.normal(size=(3, 2)), Q=[[0.2, 0.05], [0.05, 0.1]],
+                        x0_mean=rng.normal(size=3), P0=np.eye(3),
+                        u=np.linspace(-1.0, 1.0, horizon)[:, None])
+    sensors = [SensorModel(C=rng.normal(size=(2, 3)), E=rng.normal(size=(2, 3)),
+                           R=r @ r.T + 0.1 * np.eye(3)),
+               SensorModel(C=rng.normal(size=(1, 3)), R=[[0.05]])]
+    [whole], states, meas = windowed_plants(model, sensors, horizon, None)
+    assert whole == horizon and states.shape == (8, horizon + 1, 3) and meas.shape == (8, horizon, 3)
+    for window in {2, 7, horizon - 1, horizon, horizon + 1} - {0, 1}:
+        lengths, got_states, got_meas = windowed_plants(model, sensors, horizon, window)
+        assert got_states.tobytes() == states.tobytes(), window
+        assert got_meas.tobytes() == meas.tobytes(), window
+        assert sum(lengths) == horizon and set(lengths[:-1]) <= {window}, (window, lengths)
+        assert min(horizon, 2) <= lengths[-1] <= window + 1, (window, lengths)
+    with pytest.raises(ValueError, match="window"):
+        next(simulate_plants(model, sensors, horizon, [substream(5, "plant", 0)], 1))
+
+
 def test_simulate_state_sample_covariance_matches_Q():
     # memoryless plant: x_{k+1} = w_k, so states are i.i.d. N(0, I)
     n = 10 ** 5
@@ -217,6 +257,7 @@ def test_stacked_layout_matches_per_sensor_references(dims, seed):
 
     # simulate_plant hands sensor i its own columns of the stacked measurements
     traj = simulate_plant(model, sensors, h, np.random.default_rng(seed))
-    meas = simulate_plants(model, sensors, h, [np.random.default_rng(seed)])[1][0]
+    [(_, _, meas)] = simulate_plants(model, sensors, h, [np.random.default_rng(seed)])
+    meas = meas[0]
     for i in range(n):
         assert traj.measurements[i].tobytes() == meas[:, cols[i]:cols[i + 1]].tobytes()
