@@ -16,7 +16,7 @@ from .analysis import (BoundParams, BoundSequence, capacity_condition, distortio
 from .channel import channel_capacity, sample_outcomes, total_capacity
 from .codec import (CodecOverflowError, CodecParams, CodecState, EncodedPacket,
                     ack, bootstrap_state, decode, eavesdrop_decode, encode, quantize)
-from .estimator import ConditioningError, FusionFilter, run_filter
+from .estimator import FusionFilter, run_filter
 from .harness import (BlockResult, RunResult, Scenario, build_worst_case,
                       compute_bound, detect_critical_events, run_block,
                       run_monte_carlo, scenario_from_dict, scenario_preset,

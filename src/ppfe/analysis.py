@@ -12,7 +12,7 @@ import numpy as np
 
 from .channel import channel_capacity, total_capacity
 from .codec import quantize
-from .model import SensorModel, psd_factor, stack_sensors, symmetrize
+from .model import SensorModel, psd_factor, stack_sensors, symmetrize, whitened_stack
 
 GAMMA_CAP = 1.0 - 1e-9
 DIVERGENCE_TRACE = 1e12
@@ -85,7 +85,7 @@ class BoundParams:
         if dn is not None and not np.all((dn > 0.0) & (dn < 1.0)):
             raise ValueError("distortion rates must lie in (0, 1)")
         c_stack, r_block, channel = stack_sensors(self.sensors)
-        whitened = np.vstack([_r_inv_sqrt(sn.r_eff, i) @ sn.C for i, sn in enumerate(self.sensors)])
+        whitened = whitened_stack(self.sensors)[0]
         groups = _sensor_groups(self.sensors)
         for val in (c_stack, r_block, channel, whitened, *(arr for grp in groups for arr in grp)):
             val.setflags(write=False)
@@ -181,13 +181,6 @@ def hadamard_weight(gamma_bar, channel: np.ndarray) -> np.ndarray:
     """Bernoulli second-moment weight: cross-channel blocks 1, own blocks 1/gamma_i."""
     g = np.atleast_1d(np.asarray(gamma_bar, dtype=float))
     return np.where(channel[:, None] == channel[None, :], 1.0 / g[channel], 1.0)
-
-
-def _r_inv_sqrt(r: np.ndarray, sensor: int) -> np.ndarray:
-    w, u = np.linalg.eigh(symmetrize(r))
-    if w[0] <= 0.0:
-        raise ValueError(f"sensor {sensor}: effective noise E R E^T must be positive definite")
-    return (u / np.sqrt(w)) @ u.T
 
 
 def riccati_map(x: np.ndarray, params: BoundParams, w: float) -> np.ndarray:

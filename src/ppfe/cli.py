@@ -55,8 +55,8 @@ def _resolve_scenario(args, bound: bool = False, seeded: bool = False):
     The preset name or the parsed file becomes one configuration dict, the
     flags that are set go on top, and `scenario_from_dict` builds it. With
     `bound`, the scenario's bound parameters are built here too, so a sensor
-    the bound cannot whiten fails before any trial runs. Only a `seeded`
-    command (one that takes --seed) reads $PPFE_SEED.
+    that the bound and the filter cannot whiten fails before any trial runs.
+    Only a `seeded` command (one that takes --seed) reads $PPFE_SEED.
     """
     if bool(args.preset) == bool(args.scenario):
         raise UsageError("exactly one of --preset or --scenario is required")

@@ -3,36 +3,18 @@
 The same predict/update recursion serves the legitimate user and the
 eavesdropper, for a whole block of trials at once; the two runs differ only
 in their channel outcomes and decoded streams. The update is the
-outcome-masked stacked form of Sinopoli et al., "Kalman filtering with
-intermittent observations" (IEEE TAC 2004): every channel keeps its rows,
-and a dropped channel's rows of C are zeroed, so the innovation covariance is
-block diagonal, diag(S_received, c I), and the dropped channels get zero gain
-columns. This is algebraically the reduced form that stacks only the received
-channels, and the innovation covariance stays invertible.
+outcome-gated stacked form of Sinopoli et al., "Kalman filtering with
+intermittent observations" (IEEE TAC 2004), processed one whitened scalar
+row at a time (Bierman, "Factorization Methods for Discrete Sequential
+Estimation", 1977): a dropped channel's rows get zero gain, and every scalar
+innovation variance is at least 1, so no solve or conditioning check is needed.
 """
 from __future__ import annotations
 
 import numpy as np
 
 from .codec import CodecParams
-from .model import SensorModel, SystemModel, stack_sensors, symmetrize
-
-COND_LIMIT = 1e12
-
-
-class ConditioningError(ValueError):
-    """The innovation covariance of one row of a block is ill-conditioned."""
-
-    def __init__(self, message: str, row: int):
-        super().__init__(message)
-        self.row = row
-
-
-def ill_conditioned(s: np.ndarray) -> np.ndarray:
-    """Which of a stack of symmetric matrices have an eigenvalue <= 0 or a
-    condition number above COND_LIMIT, by their eigenvalues."""
-    eig = np.linalg.eigvalsh(s)
-    return (eig[:, 0] <= 0.0) | (eig[:, -1] > COND_LIMIT * eig[:, 0])
+from .model import SensorModel, SystemModel, stack_sensors, symmetrize, whitened_stack
 
 
 class FusionFilter:
@@ -40,69 +22,61 @@ class FusionFilter:
 
     Estimates are (B, d_x) and covariances (B, d_x, d_x); received masks are
     (B, M) per channel; measurements and decoding-noise variances are
-    (B, sum d_y), the latter also as one row shared by the block.
+    (B, sum d_y), the latter also as one row shared by the block. A sensor
+    whose E R E^T is not positive definite cannot be whitened, and building
+    the filter raises a ValueError that names it.
     """
 
     def __init__(self, model: SystemModel, sensors):
         self.A = model.A
-        self.qeff = model.qeff
         self.C, self.R, self.channel = stack_sensors(sensors)
-        # least eigenvalue of each sensor's E R E^T; -inf where it is singular,
-        # which leaves any row that receives that sensor to the exact check
-        floor = np.array([np.linalg.eigvalsh(s.r_eff)[0] for s in sensors])
-        self.noise_floor = np.where(floor > 0.0, floor, -np.inf)
+        self.cw, white = whitened_stack(sensors)
+        d = model.d_x
+        self.white_t = white.T
+        self.w = self.cw.T @ white                     # C^T R^{-1}
+        # row-major vec(A P A^T) = vec(P) kron(A, A)^T
+        self.kron_t = np.kron(self.A, self.A).T
+        self.q_flat = model.qeff.reshape(d * d)
 
     def predict(self, x: np.ndarray, P: np.ndarray, bu: np.ndarray):
         """Time update: x <- A x + B u, P <- A P A^T + D Q D^T."""
-        return x @ self.A.T + bu, symmetrize(self.A @ P @ self.A.T + self.qeff)
+        vec = P.reshape(len(P), -1) @ self.kron_t + self.q_flat
+        return x @ self.A.T + bu, vec.reshape(P.shape)
 
     def update(self, x: np.ndarray, P: np.ndarray, y: np.ndarray, received: np.ndarray,
                rdec: np.ndarray):
         """Measurement update; a row with no received channel keeps (x, P).
 
-        The innovation covariance is diag(S_received, c I) with c the mean
-        eigenvalue trace(S_received) / n_received (1 when nothing is
-        received). Its extreme eigenvalues are those of S_received, so the
-        conditioning check is exactly the check on the reduced S, and a
-        dropped channel's R, which never enters the update, is not checked.
-
-        Conditioning contract: a row whose S has an eigenvalue <= 0 or a
-        condition number above COND_LIMIT (1e12) raises ConditioningError,
-        naming the first such row and its received channels. Most rows are
-        cleared without eigenvalues. With P >= 0, S_received = C_r P C_r^T + R_r
-        has lambda_min >= floor, the least `noise_floor` of a received sensor,
-        and lambda_max <= trace(S_received), so a row with trace(S_received)
-        <= COND_LIMIT / 2 * floor has cond(S) <= COND_LIMIT / 2. At that
-        condition eigvalsh's rounding moves the eigenvalues by about
-        n eps trace(S) <= n 1e-4 floor, far inside the factor 2, so its test
-        could not flag such a row. Every other row, including one that
-        receives a sensor with a singular E R E^T, gets that test itself: the
-        verdict and the named row are those of testing every row.
+        With c_j row j of the whitened stack R^{-1/2} C and y~ = R^{-1/2} y, the
+        rows j are absorbed in turn, each step a broadcast over the block:
+            pc = P c_j,  k = gate_j pc / (c_j^T pc + 1),
+            x += k (y~_j - c_j^T x),  P -= k pc^T,
+        gate_j saying whether row j's channel was received. The decoding noise
+        then adds K diag(rdec) K^T, with K = P+ C^T R^{-1} the gain over the
+        received rows and P+ the posterior. This is the covariance form to
+        rounding times the largest eigenvalue of the whitened innovation
+        covariance R^{-1/2} S R^{-1/2}, the prior against the noise. A P or x
+        that is not finite passes through, for the caller to check.
         """
         rows = received[:, self.channel]
-        gc = np.where(rows[:, :, None], self.C, 0.0)
-        gcp = gc @ P
-        both = rows[:, :, None] & rows[:, None, :]
-        s = symmetrize(gcp @ np.swapaxes(gc, -1, -2) + np.where(both, self.R, 0.0))
-        n = rows.sum(axis=1)
-        trace = np.einsum("bii->b", s)
-        c = np.where(n > 0, trace / np.maximum(n, 1), 1.0)
-        s += np.where(rows, 0.0, c[:, None])[:, :, None] * np.eye(rows.shape[1])
-        floor = np.where(received, self.noise_floor, np.inf).min(axis=1)
-        unsure = np.flatnonzero(~(trace <= 0.5 * COND_LIMIT * floor))
-        if unsure.size:
-            bad = unsure[ill_conditioned(s[unsure])]
-            if bad.size:
-                row = int(bad[0])
-                raise ConditioningError(
-                    f"innovation covariance ill-conditioned (cond > {COND_LIMIT:.0e}) "
-                    f"for received channels {tuple(np.flatnonzero(received[row]).tolist())}", row)
-        gain_t = np.linalg.solve(s, gcp)  # K^T, zero rows for dropped channels
-        gain = np.swapaxes(gain_t, -1, -2)
-        innov = np.where(rows, y - x @ self.C.T, 0.0)
-        x = x + (innov[:, None, :] @ gain_t)[:, 0]
-        P = P - gain @ s @ gain_t + (gain * rdec[..., None, :]) @ gain_t
-        return x, symmetrize(P)
+        b, d = x.shape
+        # the block's rows run along the last axis; z = [P; x^T] per row, so one
+        # product with c_j gives P c_j and c_j^T x, and one outer product updates both
+        z = np.empty((d + 1, d, b))
+        z[:d] = P.transpose(1, 2, 0)
+        z[d] = x.T
+        yw = np.where(rows, y, 0.0) @ self.white_t      # dropped rows: 0, never inf
+        for c, gate, yj in zip(self.cw, rows.T, yw.T):
+            v = np.einsum("ilb,l->ib", z, c)
+            pc = v[:d]
+            k = pc * (gate / (np.einsum("ib,i->b", pc, c) + 1.0))
+            v[d] -= yj
+            z -= v[:, None] * k
+        post = z[:d]
+        gain = np.einsum("iab,aj->ijb", post, self.w)        # K = P+ C^T R^-1 per row
+        post += np.einsum("ijb,jb,kjb->ikb", gain, np.where(rows, rdec, 0.0).T, gain)
+        return (np.ascontiguousarray(z[d].T),
+                symmetrize(np.ascontiguousarray(post.transpose(2, 0, 1))))
 
 
 def decoding_noise(codecs: list[CodecParams], channel: np.ndarray,

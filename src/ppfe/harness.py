@@ -17,7 +17,7 @@ from .analysis import BoundParams, BoundSequence, cap_gamma, iterate_bound
 from .channel import sample_outcomes
 from .codec import (CodecOverflowError, CodecParams, growth_factors, reconstruct,
                     reference_residual, round_to_lattice)
-from .estimator import ConditioningError, FusionFilter, decoding_noise
+from .estimator import FusionFilter, decoding_noise
 from .model import (SensorModel, SystemModel, as_floats, check_keys, from_config,
                     simulate_plants, three_tank_preset)
 from .rng import substream
@@ -129,7 +129,8 @@ class Scenario:
     @cached_property
     def bound_params(self) -> BoundParams:
         """Analysis-side parameters with lossless links capped. Built on first use, not
-        with the scenario: the block engine runs sensors the bound cannot whiten."""
+        with the scenario: `conditions` needs neither the bound nor the filter, which
+        both whiten the sensors (`model.whitened_stack`)."""
         return BoundParams(A=self.model.A, qeff=self.model.qeff, sensors=self.sensors,
                            gamma_bar=cap_gamma(self.gamma_bar), s=self.s, delta=self.delta)
 
@@ -265,11 +266,13 @@ def run_block(scenario: Scenario, start: int, stop: int) -> BlockResult:
     An eavesdropper saturates at the first step where a heard packet's growth
     overflows, its decode error passes 1e15 or is not finite, or its
     filtered error norm passes 1e15; divergence is the finding, not a
-    failure, so its row is dropped at that step. A failure of either filter,
-    or of the legitimate codec, raises, naming the party and the (seed,
-    trial) pair. numpy computes a one-row matmul by another path, so a lone
-    trial runs as two identical trials and keeps the first: a trial's results
-    never depend on its block.
+    failure, so its row is dropped at that step. Both filters absorb the
+    received rows one whitened scalar at a time (`FusionFilter.update`); a
+    live row whose estimate or covariance is not finite after the update
+    fails. A failure of either filter, or of the legitimate codec, raises,
+    naming the party and the (seed, trial) pair. numpy computes a one-row
+    matmul by another path, so a lone trial runs as two identical trials and
+    keeps the first: a trial's results never depend on its block.
     """
     model, sensors, h, seed = scenario.model, scenario.sensors, scenario.horizon, scenario.seed
     trials = range(start, stop) if stop - start > 1 else (start, start)
@@ -342,18 +345,14 @@ def run_block(scenario: Scenario, start: int, stop: int) -> BlockResult:
                 died = (lost & recv[:, ch]).any(axis=1)
                 died[:b] = False
                 recv = recv & ~died[:, None]
-        y_ref = np.where(recv[:, ch], ybar, y_ref)
-        t_ref[recv] = k
-        init |= recv
-        if k > 0:
-            x, P = fusion.predict(x, P, bu[k - 1])
-        pred_err[:, k] = states[:, k - lo] - x[:b]
-        try:
+            y_ref = np.where(recv[:, ch], ybar, y_ref)
+            t_ref[recv] = k
+            init |= recv
+            # a filter that leaves the float range fails the finiteness check below
+            if k > 0:
+                x, P = fusion.predict(x, P, bu[k - 1])
+            pred_err[:, k] = states[:, k - lo] - x[:b]
             x, P = fusion.update(x, P, ybar, recv, rdec)
-        except ConditioningError as exc:
-            party = "eavesdropper" if exc.row >= b else "legitimate"
-            raise ValueError(f"trial {trials[tr[exc.row]]} (seed {seed}): {party} filter: "
-                             f"{exc}") from None
         err = states[tr, k - lo] - x
         legit_err[:, k] = err[:b]
         if eves:
@@ -366,6 +365,14 @@ def run_block(scenario: Scenario, start: int, stop: int) -> BlockResult:
                 tr, link, x, P, y_ref, t_ref, init, err = (
                     v[keep] for v in (tr, link, x, P, y_ref, t_ref, init, err))
             eve_err[tr[b:], k] = err[b:]
+        # two sums clear a step; only when they are not finite are the rows tested
+        if not np.isfinite(x.sum() + P.sum()):
+            bad = ~(np.isfinite(x).all(axis=1) & np.isfinite(P).all(axis=(1, 2)))
+            if bad.any():
+                row = int(np.argmax(bad))
+                party = "eavesdropper" if row >= b else "legitimate"
+                raise ValueError(f"trial {trials[tr[row]]} (seed {seed}): {party} filter: "
+                                 f"estimate or covariance is not finite at step {k}")
 
     return BlockResult(legit_err=legit_err[:n], pred_err=pred_err[:n], eve_err=eve_err[:n],
                        eve_saturated_at=saturated_at[:n], events=events)

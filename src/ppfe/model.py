@@ -216,6 +216,21 @@ def stack_sensors(sensors) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     return np.vstack([s.C for s in sensors]), block_diag([s.r_eff for s in sensors]), channel
 
 
+def whitened_stack(sensors) -> tuple[np.ndarray, np.ndarray]:
+    """The stacked rows R_i^{-1/2} C_i, whose noise is white with unit variance,
+    and the block-diagonal R^{-1/2} that whitens a stacked measurement, with
+    R_i^{-1/2} the symmetric inverse square root of sensor i's E R E^T. A
+    sensor whose E R E^T is not positive definite cannot be whitened: a fault
+    that names it."""
+    roots = []
+    for i, s in enumerate(sensors):
+        w, u = np.linalg.eigh(s.r_eff)
+        if w[0] <= 0.0:
+            raise ValueError(f"sensor {i}: effective noise E R E^T must be positive definite")
+        roots.append((u / np.sqrt(w)) @ u.T)
+    return np.vstack([r @ s.C for r, s in zip(roots, sensors)]), block_diag(roots)
+
+
 class Trajectory(NamedTuple):
     """One plant realization: states x_0..x_H, measurements y_{i,0}..y_{i,H-1}."""
 

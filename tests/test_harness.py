@@ -716,26 +716,40 @@ def assert_named_trial_fails_alone(sc, workers, error, pattern):
     assert str(alone.value) == str(info.value)
 
 
-def test_ill_conditioned_trial_is_named():
+def test_non_finite_filter_names_trial():
+    # the whitened filter meets no ill-conditioned innovation, but its estimate or
+    # covariance can leave the float range; a live row that does fails the run.
+    # An unstable plant (a = 1e10) whose authorized link drops every packet: the
+    # legitimate P grows as a^2k and overflows at step 16, long before the states
+    h = 20
+    never, always = np.zeros((1, h), dtype=int), np.ones((1, h), dtype=int)
+    unstable = Scenario(model=SystemModel(A=[[1e10]], Q=[[1.0]], x0_mean=[0.0], P0=[[1.0]]),
+                        sensors=(SensorModel(C=[[1.0]], R=[[1.0]]),), gamma_bar=[0.9],
+                        gamma_bar_eve=[0.9], a=[0.5], delta=[0.01], s=1.0, horizon=h, trials=3,
+                        seed=1, outcome_override=(never, always))
+    # channel 1's decoding-noise variance s^2 delta^2 / 4 = 1e320 / 4 overflows, so
+    # a party that hears channel 1 gets a covariance that is not finite; channel 0
+    # decodes to within s delta = 1
     model = SystemModel(A=0.9 * np.eye(2), Q=0.01 * np.eye(2), x0_mean=np.zeros(2), P0=np.eye(2))
-    dup = SensorModel(C=[[1.0, 0.0]], R=[[1e-15]])
-    sc = Scenario(model=model, sensors=(dup, dup), gamma_bar=[0.1, 0.1],
-                  gamma_bar_eve=[0.1, 0.1], a=[0.5, 0.5], delta=[0.01, 0.01], s=1.0,
-                  horizon=5, trials=8, seed=123)
-    # duplicate channels: the authorized link delivers channel 0 only, the wiretap
-    # both, so only the eavesdropper's innovation covariance is ill-conditioned
+    sensors = (SensorModel(C=[[1.0, 0.0]], R=[[0.01]]), SensorModel(C=[[0.0, 1.0]], R=[[0.01]]))
+    sc = Scenario(model=model, sensors=sensors, gamma_bar=[0.5, 0.1], gamma_bar_eve=[0.5, 0.1],
+                  a=[0.5, 0.5], delta=[1e-100, 1e60], s=1e100, horizon=5, trials=8, seed=123)
+    # the authorized link delivers channel 0 only and the wiretap both, so only the
+    # eavesdropper hears channel 1; then the other way round
     one, both = np.array([[1] * 5, [0] * 5]), np.ones((2, 5), dtype=int)
     eve_sc = replace(sc, outcome_override=(one, both), trials=3, seed=1)
     legit_sc = replace(eve_sc, outcome_override=(both, one))
     for workers in (1, 2):
+        assert_named_trial_fails_alone(unstable, workers, ValueError, r"trial 0 \(seed 1\): "
+                                       r"legitimate filter: .* not finite at step 16")
         assert_named_trial_fails_alone(sc, workers, ValueError,
-                                       r"trial \d+ \(seed 123\): .*channels")
+                                       r"trial \d+ \(seed 123\): .* filter: .* not finite")
         assert_named_trial_fails_alone(eve_sc, workers, ValueError, r"trial 0 \(seed 1\): "
-                                       r"eavesdropper filter: .*channels \(0, 1\)")
+                                       r"eavesdropper filter: .* not finite at step 0")
         quiet = run_monte_carlo(replace(eve_sc, track_eavesdropper=False), workers=workers)
         assert np.isfinite(quiet.mse_legit).all()
         assert_named_trial_fails_alone(legit_sc, workers, ValueError, r"trial 0 \(seed 1\): "
-                                       r"legitimate filter: .*channels \(0, 1\)")
+                                       r"legitimate filter: .* not finite at step 0")
 
 
 def test_legitimate_codec_overflow_names_trial():
