@@ -37,6 +37,14 @@ class CodecParams:
             raise ValueError(f"quantization step delta must be positive and finite, got {self.delta}")
         if self.s == 0.0 or not math.isfinite(self.s):
             raise ValueError(f"scale s must be nonzero and finite, got {self.s}")
+        # the filters' decoding-noise variance (`estimator.decoding_noise`), in its arithmetic
+        try:
+            variance = float(self.s) ** 2 * float(self.delta) ** 2 / 4.0
+        except OverflowError:
+            variance = math.inf
+        if not math.isfinite(variance):
+            raise ValueError(f"decoding-noise variance s^2 delta^2 / 4 overflows with "
+                             f"delta = {self.delta} and s = {self.s}")
 
 
 @dataclass(frozen=True)

@@ -24,10 +24,17 @@ from .rng import substream
 
 EVE_SATURATION = 1e15
 
-# Most trials in one block. A three-tank block's traced peak is about 130
-# bytes per trial-step, 72 of them the three (B, H, d_x) error series it
-# returns, so a 500-step block of 256 trials peaks near 17 MB.
-MAX_BLOCK = 256
+# Most trials in one block. A three-tank block's traced peak is about 103
+# bytes per trial-step (256 trials x 500 steps), 40 of them what it returns:
+# two (B, H) squared norms and the eavesdropper's (B, H, d_x) errors, whose
+# pages past saturation are never touched. So a 500-step block of 512 trials
+# peaks near 26 MB traced. A 1000-trial A1 run at 1 worker peaked at 56, 68
+# and 88 MB RSS with blocks of at most 256, 512 and 1024 trials.
+MAX_BLOCK = 512
+
+# Rows of events.csv formatted and written at a time: the writer's traced peak
+# stays near 0.3 MB at any event count (6.3 MB for 35 078 rows as one string)
+EVENTS_CHUNK = 1024
 
 # Steps per window of plant noise, states, measurements and quantizer
 # uniforms. Drawn window by window rather than for the whole horizon, they
@@ -240,11 +247,13 @@ def build_worst_case(n_channels: int, horizon: int, channel: int, k_bar: int) ->
 
 @dataclass
 class BlockResult:
-    """Error series of a contiguous block of trials; eavesdropper entries are NaN once saturated."""
+    """Per-trial results of a contiguous block of trials: the legitimate party's
+    squared error norms, and the eavesdropper's error vectors up to its
+    saturation step (0 from that step on, pages the block never touched)."""
 
-    legit_err: np.ndarray          # (B, H, d_x) filtered errors x_k - xhat_{k|k}
-    pred_err: np.ndarray           # (B, H, d_x) prediction errors x_k - xhat_{k|k-1}
-    eve_err: np.ndarray            # (B, H, d_x)
+    legit_sq: np.ndarray           # (B, H) squared filtered-error norms ||x_k - xhat_{k|k}||^2
+    pred_sq: np.ndarray            # (B, H) squared prediction-error norms ||x_k - xhat_{k|k-1}||^2
+    eve_err: np.ndarray            # (B, H, d_x) eavesdropper errors x_k - xhat_{k|k}
     eve_saturated_at: np.ndarray   # (B,) first saturated step, H when never
     events: np.ndarray             # (E, 4) rows (trial, channel, k_bar, worst_case), in order
 
@@ -256,13 +265,17 @@ def run_block(scenario: Scenario, start: int, stop: int) -> BlockResult:
     Each trial draws its own (seed, role, trial) streams, in the order a
     step-by-step draw would use; the plant and quantizer streams are drawn in
     windows of WINDOW steps, so no whole-horizon states, measurements or
-    uniforms are held. Both parties run the same decoder and filter, so the
-    row arrays hold one row per (party, trial):
-    the block's B legitimate rows, then one eavesdropper row per trial whose
-    eavesdropper is still live. `tr` maps a row to its trial and `link` gives
-    it its reception trace (authorized for the legitimate rows, wiretap for
-    the others). The encoder's reference always equals the legitimate
-    decoder's (the ACK mirrors it), so the encoder reads the first B rows.
+    uniforms are held. The legitimate filtered and prediction errors go into
+    one window's buffers too, reduced to squared norms by one einsum when the
+    window ends; only the eavesdropper's error vectors are kept for the whole
+    horizon, in a zeroed array written only before saturation. Both parties
+    run the same decoder and filter, so the row arrays hold one row per
+    (party, trial): the block's B legitimate rows, then one eavesdropper row
+    per trial whose eavesdropper is still live. `tr` maps a row to its trial
+    and `link` gives it its reception trace (authorized for the legitimate
+    rows, wiretap for the others). The encoder's reference always equals the
+    legitimate decoder's (the ACK mirrors it), so the encoder reads the first
+    B rows.
     An eavesdropper saturates at the first step where a heard packet's growth
     overflows, its decode error passes 1e15 or is not finite, or its
     filtered error norm passes 1e15; divergence is the finding, not a
@@ -303,8 +316,11 @@ def run_block(scenario: Scenario, start: int, stop: int) -> BlockResult:
     P = np.repeat(model.P0[None], tr.size, axis=0)
     y_ref, t_ref = np.zeros((tr.size, ch.size)), np.zeros(link.shape[:2], dtype=int)
     init = np.zeros(link.shape[:2], dtype=bool)
-    legit_err, pred_err = np.empty((b, h, d)), np.empty((b, h, d))
-    eve_err = np.full((b, h, d), np.nan)
+    # one window's legitimate filtered and prediction errors, reduced to squared
+    # norms when the window ends
+    errs = np.empty((2, b, WINDOW + 1, d))
+    sq = np.empty((2, b, h))
+    eve_err = np.zeros((b, h, d))            # written only before saturation
     saturated_at = np.full(b, h)
     legit_time = scenario.eve_reference_policy == "legit-time"
     hi = 0
@@ -351,10 +367,13 @@ def run_block(scenario: Scenario, start: int, stop: int) -> BlockResult:
             # a filter that leaves the float range fails the finiteness check below
             if k > 0:
                 x, P = fusion.predict(x, P, bu[k - 1])
-            pred_err[:, k] = states[:, k - lo] - x[:b]
+            errs[1, :, k - lo] = states[:, k - lo] - x[:b]
             x, P = fusion.update(x, P, ybar, recv, rdec)
         err = states[tr, k - lo] - x
-        legit_err[:, k] = err[:b]
+        errs[0, :, k - lo] = err[:b]
+        if k + 1 == hi:
+            w = errs[:, :, :hi - lo]
+            sq[:, :, lo:hi] = np.einsum("pbwd,pbwd->pbw", w, w)
         if eves:
             # the filter itself can blow up one step before the decode check trips
             gone = died | (np.linalg.norm(err, axis=1) > EVE_SATURATION)
@@ -374,7 +393,7 @@ def run_block(scenario: Scenario, start: int, stop: int) -> BlockResult:
                 raise ValueError(f"trial {trials[tr[row]]} (seed {seed}): {party} filter: "
                                  f"estimate or covariance is not finite at step {k}")
 
-    return BlockResult(legit_err=legit_err[:n], pred_err=pred_err[:n], eve_err=eve_err[:n],
+    return BlockResult(legit_sq=sq[0, :n], pred_sq=sq[1, :n], eve_err=eve_err[:n],
                        eve_saturated_at=saturated_at[:n], events=events)
 
 
@@ -452,17 +471,18 @@ def run_monte_carlo(scenario: Scenario, workers: int = 1,
     events, lo = [], 0
     for block in _blocks(scenario, workers):
         hi = lo + len(block.eve_saturated_at)
-        sq[lo:hi] = np.einsum("bhd,bhd->bh", block.pred_err, block.pred_err)
+        sq[lo:hi] = block.pred_sq
         saturated_at[lo:hi] = block.eve_saturated_at
         events.append(block.events)
         # trial by trial, so that no sum depends on the split into blocks; an
-        # eavesdropper entry is written, and finite, before its trial saturates
-        for e_legit, e_eve, stop in zip(block.legit_err, block.eve_err, saturated_at[lo:hi]):
-            legit_sq += np.einsum("hd,hd->h", e_legit, e_legit)
+        # eavesdropper entry is read only before its trial saturates, so the
+        # pages of its tail are never touched
+        for row, e_eve, stop in zip(block.legit_sq, block.eve_err, saturated_at[lo:hi]):
+            legit_sq += row
             eve_sq[:stop] += np.einsum("hd,hd->h", e_eve[:stop], e_eve[:stop])
             eve_sum[:stop] += e_eve[:stop]
         lo = hi
-        del block, e_legit, e_eve            # freed before the next block runs
+        del block, row, e_eve                # freed before the next block runs
 
     trace_se = sq.std(axis=0, ddof=1) / math.sqrt(t) if t > 1 else np.zeros(h)
     gone = np.cumsum(np.bincount(saturated_at, minlength=h + 1)[:h])  # saturated by step k
@@ -568,8 +588,11 @@ def write_mse_csv(result: RunResult, path) -> None:
 
 
 def write_events_csv(result: RunResult, path) -> None:
-    """Critical-event log: trial, channel, k_bar, worst_case; the rows are in trial order."""
-    lines = ["trial,channel,k_bar,worst_case",
-             *(f"{t},{i},{k},{wc}" for t, i, k, wc in result.events.tolist())]
+    """Critical-event log: trial, channel, k_bar, worst_case; the rows are in trial
+    order. They are formatted and written EVENTS_CHUNK at a time, so the Python
+    strings in hand stay bounded however many events the run logged."""
     with open(path, "w", newline="\n") as fh:
-        fh.write("\n".join(lines) + "\n")
+        fh.write("trial,channel,k_bar,worst_case\n")
+        for lo in range(0, len(result.events), EVENTS_CHUNK):
+            rows = result.events[lo:lo + EVENTS_CHUNK].tolist()
+            fh.write("".join(f"{t},{i},{k},{wc}\n" for t, i, k, wc in rows))

@@ -495,13 +495,18 @@ def missing(key):
     (must("sensors"), scalar_config(model=model_with(sensors=[]),
                                     channel={"gamma": [], "gamma_eve": []},
                                     codec={"a": [], "delta": [], "s": 1.0})),
+    (r"s\^2 delta\^2 / 4 overflows with delta = 1e\+200 and s = 1\.0$",
+     {"preset": "three-tank-groupA1", "delta": [0.01, 0.01, 1e200], "trials": 2, "horizon": 20}),
+    (r"s\^2 delta\^2 / 4 overflows with delta = 0\.01 and s = 1e\+200$",
+     scalar_config(codec={"a": [2.0], "delta": [0.01], "s": 1e200})),
 ], ids=["preset-s-null", "full-s-null", "a-string", "gamma-string", "channel-int",
         "codec-list", "override-int", "sensor-int", "sensors-int", "sensors-object",
         "model-int", "matrix-string", "vector-ragged", "top-level-list",
         "preset-s-string", "preset-a-strings", "full-s-string", "full-gamma-string",
         "no-channel", "no-codec", "no-horizon", "no-gamma-eve", "no-s",
         "preset-gamma-bool", "preset-s-bool", "preset-a-null", "full-s-bool",
-        "full-gamma-eve-bool", "no-sensors"])
+        "full-gamma-eve-bool", "no-sensors", "preset-decoding-noise-overflow",
+        "full-decoding-noise-overflow"])
 def test_config_fault_names_its_key(tmp_path, want, cfg):
     # every command builds its scenario the same way, so each must stop there
     for command in ("simulate", "bound", "conditions"):

@@ -249,3 +249,10 @@ def test_codec_params_validation():
                 dict(a=2.0, delta=math.nan, s=1.0), dict(a=2.0, delta=0.1, s=math.nan)):
         with pytest.raises(ValueError):
             CodecParams(**bad)
+    # the decoding-noise variance s^2 delta^2 / 4 must be finite too: its product
+    # overflows, or s^2 alone raises OverflowError in Python floats
+    for bad in (dict(a=2.0, delta=1e200, s=1.0), dict(a=2.0, delta=1e60, s=1e100),
+                dict(a=2.0, delta=1e-200, s=1e200)):
+        with pytest.raises(ValueError, match=r"decoding-noise variance .* overflows with delta"):
+            CodecParams(**bad)
+    assert CodecParams(a=2.0, delta=1e54, s=1e100).delta == 1e54

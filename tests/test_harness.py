@@ -13,8 +13,8 @@ from hypothesis.extra.numpy import arrays
 
 from ppfe import harness
 from ppfe.channel import sample_outcomes
-from ppfe.codec import (CodecOverflowError, ack, bootstrap_state, decode, eavesdrop_decode,
-                        encode)
+from ppfe.codec import (CodecOverflowError, CodecParams, ack, bootstrap_state, decode,
+                        eavesdrop_decode, encode)
 from ppfe.estimator import run_filter
 from ppfe.harness import (EVE_SATURATION, Scenario, build_worst_case, compute_bound,
                           detect_critical_events, run_block, run_monte_carlo,
@@ -36,7 +36,7 @@ def scalar_scenario(**kw):
 def run_trial(sc, trial):
     """Per-trial view of a one-trial block."""
     block = run_block(sc, trial, trial + 1)
-    return SimpleNamespace(legit_err=block.legit_err[0], pred_err=block.pred_err[0],
+    return SimpleNamespace(legit_sq=block.legit_sq[0], pred_sq=block.pred_sq[0],
                            eve_err=block.eve_err[0],
                            events=block.events[:, 1:],
                            diverged=bool(block.eve_saturated_at[0] < sc.horizon))
@@ -104,13 +104,19 @@ def test_build_worst_case_shape_and_roundtrip():
 
 # ---------------------------------------------------------------- single trials
 
+def sq_norms(err):
+    """Squared norms of (..., H, d_x) error vectors, by the block's own reduction."""
+    return np.einsum("...d,...d->...", err, err)
+
+
 def test_trial_transparent_no_drops_equal_views():
     override = (np.ones((1, 30), dtype=int), np.ones((1, 30), dtype=int))
     sc = scalar_scenario(outcome_override=override, transparent_quantizer=True,
                          trials=1)
     res = run_trial(sc, 0)
     assert not res.diverged
-    assert np.allclose(res.eve_err, res.legit_err, atol=0, rtol=0)
+    # the block returns the legitimate errors as squared norms only
+    assert sq_norms(res.eve_err).tobytes() == res.legit_sq.tobytes()
 
 
 def test_trial_worst_case_growth_factor():
@@ -128,7 +134,7 @@ def test_trial_determinism():
     sc = scalar_scenario()
     a = run_trial(sc, 2)
     b = run_trial(sc, 2)
-    assert a.legit_err.tobytes() == b.legit_err.tobytes()
+    assert a.legit_sq.tobytes() == b.legit_sq.tobytes()
     assert a.eve_err.tobytes() == b.eve_err.tobytes()
     assert np.array_equal(a.events, b.events)
 
@@ -139,7 +145,12 @@ def test_eve_equals_legit_null_test():
     override = (rng_trace, rng_trace)
     sc = scalar_scenario(outcome_override=override, horizon=40, trials=1)
     res = run_trial(sc, 0)
-    assert np.array_equal(res.eve_err, res.legit_err)
+    assert not res.diverged
+    assert sq_norms(res.eve_err).tobytes() == res.legit_sq.tobytes()
+    # so the eavesdropper's vectors are the legitimate errors of the per-trial reference
+    states, legit_err, _sat, _eve_err = reference_trial(sc, 0)
+    np.testing.assert_allclose(res.eve_err, legit_err, rtol=1e-12,
+                               atol=1e-12 * np.abs(states).max())
 
 
 def test_trial_stable_encoding_keeps_eavesdropper_close():
@@ -147,7 +158,7 @@ def test_trial_stable_encoding_keeps_eavesdropper_close():
     sc = scalar_scenario(a=[0.5], horizon=200, trials=1, seed=9)
     res = run_trial(sc, 0)
     assert not res.diverged
-    legit_mse = (res.legit_err ** 2).sum(axis=1)[100:].mean()
+    legit_mse = res.legit_sq[100:].mean()
     eve_mse = (res.eve_err ** 2).sum(axis=1)[100:].mean()
     assert eve_mse < 10.0 * legit_mse
 
@@ -234,6 +245,22 @@ def reference_trial(sc, trial):
     return states, states - legit_x, sat, eve_err[:sat]
 
 
+def legit_view(sc, trial):
+    """A one-trial block of `trial` whose wiretap trace is its authorized one: its
+    eavesdropper row is then its legitimate row, so the returned eavesdropper
+    vectors carry the legitimate errors, whose squared norms are the bytes of
+    `legit_sq`."""
+    if sc.outcome_override is None:
+        auth = sample_outcomes(sc.gamma_bar, sc.gamma_bar_eve, sc.horizon,
+                               [substream(sc.seed, "channel", trial)])[0, 0]
+    else:
+        auth = sc.outcome_override[0]
+    view = run_block(replace(sc, outcome_override=np.stack([auth, auth])), trial, trial + 1)
+    assert view.eve_saturated_at[0] == sc.horizon
+    assert sq_norms(view.eve_err[0]).tobytes() == view.legit_sq[0].tobytes()
+    return view
+
+
 @pytest.mark.parametrize("policy", ["own", "legit-time"])
 @pytest.mark.parametrize("a", [(0.5, 0.5, 5.0), (0.5, 0.5, 0.5)], ids=["A1", "nogrowth"])
 def test_block_matches_per_trial_reference_for_both_parties(a, policy):
@@ -253,9 +280,11 @@ def test_block_matches_per_trial_reference_for_both_parties(a, policy):
         # an error is a difference of two estimates, so small ones are compared
         # relative to the state's magnitude (the rounding of either estimate)
         tol = dict(rtol=1e-12, atol=1e-12 * np.abs(states).max())
-        np.testing.assert_allclose(block.legit_err[t], legit_err, **tol)
+        view = legit_view(sc, t)
+        assert view.legit_sq[0].tobytes() == block.legit_sq[t].tobytes()
+        np.testing.assert_allclose(view.eve_err[0], legit_err, **tol)
         np.testing.assert_allclose(block.eve_err[t, :sat], eve_err, **tol)
-        assert np.isnan(block.eve_err[t, sat:]).all()
+        assert (block.eve_err[t, sat:] == 0.0).all()
 
 
 def test_eavesdropper_filter_blow_up_saturates():
@@ -270,7 +299,7 @@ def test_eavesdropper_filter_blow_up_saturates():
         _states, _legit, sat, eve_err = reference_trial(sc, t)
         assert sat < h and block.eve_saturated_at[t] == sat
         np.testing.assert_allclose(block.eve_err[t, :sat], eve_err, rtol=1e-12)
-        assert np.isnan(block.eve_err[t, sat:]).all()
+        assert (block.eve_err[t, sat:] == 0.0).all()
 
 
 # ---------------------------------------------------------------- monte carlo
@@ -279,8 +308,10 @@ def test_monte_carlo_single_trial_equals_run_trial():
     sc = scalar_scenario(trials=1)
     mc = run_monte_carlo(sc)
     tr = run_trial(sc, 0)
-    assert mc.mse_legit.tobytes() == (tr.legit_err ** 2).sum(axis=1).tobytes()
-    assert mc.emp_cov_trace.tobytes() == (tr.pred_err ** 2).sum(axis=1).tobytes()
+    assert mc.mse_legit.tobytes() == tr.legit_sq.tobytes()
+    assert mc.emp_cov_trace.tobytes() == tr.pred_sq.tobytes()
+    legit_err = legit_view(sc, 0).eve_err[0]
+    assert mc.mse_legit.tobytes() == (legit_err ** 2).sum(axis=1).tobytes()
 
 
 def test_monte_carlo_worker_determinism():
@@ -658,7 +689,8 @@ def test_monte_carlo_memory_does_not_grow_with_blocks():
     # numpy's first run allocates lasting caches, which would count in the first peak
     run_monte_carlo(scenario_preset("three-tank-groupA1", seed=3, horizon=10, trials=4))
     peaks = []
-    for trials in (256, 768):   # one block, then three of MAX_BLOCK trials
+    block = harness.MAX_BLOCK
+    for trials in (block, 3 * block):   # one block, then three of MAX_BLOCK trials
         sc = scenario_preset("three-tank-groupA1", seed=3, horizon=100, trials=trials)
         tracemalloc.start()
         try:
@@ -666,8 +698,56 @@ def test_monte_carlo_memory_does_not_grow_with_blocks():
             peaks.append(tracemalloc.get_traced_memory()[1])
         finally:
             tracemalloc.stop()
-    per_trial_step = (peaks[1] - peaks[0]) / (512 * 100)
+    per_trial_step = (peaks[1] - peaks[0]) / (2 * block * 100)
     assert per_trial_step < 32, (peaks, per_trial_step)
+
+
+def test_block_traced_peak_per_trial_step():
+    # a block returns two (B, H) squared norms and the eavesdropper's (B, H, d_x)
+    # errors, and reduces the legitimate errors window by window. Measured on a
+    # three-tank block of 256 trials x 500 steps: 103 bytes per trial-step; 130
+    # when it returned the (B, H, d_x) legitimate and prediction errors too
+    import tracemalloc
+
+    run_block(scenario_preset("three-tank-groupA1", seed=3, horizon=10, trials=4), 0, 4)
+    sc = scenario_preset("three-tank-groupA1", seed=3, horizon=500, trials=256)
+    tracemalloc.start()
+    try:
+        run_block(sc, 0, sc.trials)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    per_trial_step = peak / (sc.trials * sc.horizon)
+    assert per_trial_step < 115, per_trial_step
+
+
+def old_events_csv(events) -> bytes:
+    """events.csv as one joined list of every row, the layout the chunked writer keeps."""
+    lines = ["trial,channel,k_bar,worst_case",
+             *(f"{t},{i},{k},{wc}" for t, i, k, wc in events.tolist())]
+    return ("\n".join(lines) + "\n").encode()
+
+
+def test_events_csv_is_written_in_chunks(tmp_path):
+    # 0 rows, exactly one chunk, and several chunks plus a remainder give the
+    # bytes of one joined string; the writer's traced peak stays bounded. Measured
+    # for 35 078 rows: 0.24 MB, against 6.3 MB when every row was joined first
+    import tracemalloc
+
+    chunk = harness.EVENTS_CHUNK
+    rng = np.random.default_rng(5)
+    for rows in (0, chunk, 3 * chunk + 17, 35_078):
+        events = np.column_stack((np.sort(rng.integers(0, 256, rows)), rng.integers(0, 3, rows),
+                                  rng.integers(0, 500, rows), rng.integers(0, 2, rows)))
+        path = tmp_path / f"events{rows}.csv"
+        tracemalloc.start()
+        try:
+            write_events_csv(SimpleNamespace(events=events), path)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert path.read_bytes() == old_events_csv(events), rows
+        assert peak < 1e6, (rows, peak)
 
 
 @pytest.mark.parametrize("cpus, workers, want", [(2, 3000, [2]), (None, 3000, []),
@@ -727,13 +807,19 @@ def test_non_finite_filter_names_trial():
                         sensors=(SensorModel(C=[[1.0]], R=[[1.0]]),), gamma_bar=[0.9],
                         gamma_bar_eve=[0.9], a=[0.5], delta=[0.01], s=1.0, horizon=h, trials=3,
                         seed=1, outcome_override=(never, always))
-    # channel 1's decoding-noise variance s^2 delta^2 / 4 = 1e320 / 4 overflows, so
-    # a party that hears channel 1 gets a covariance that is not finite; channel 0
-    # decodes to within s delta = 1
+    # A decoding-noise variance s^2 delta^2 / 4 that overflows is a configuration
+    # fault (s = 1e100, delta = 1e60 gives 1e320 / 4), but a finite one can still
+    # overflow the covariance through the gain: channel 1's variance is 2.5e307 and
+    # its gain about 1 / C = 1e3 (C^2 P >> R), so K rdec K^T = 2.5e313. A party that
+    # hears channel 1 gets a covariance that is not finite while its estimate stays
+    # close (the decode rounds y / s to 0); channel 0 decodes to within s delta = 1
+    with pytest.raises(ValueError, match=r"s\^2 delta\^2 / 4 overflows with delta = 1e\+60"):
+        CodecParams(a=0.5, delta=1e60, s=1e100)
     model = SystemModel(A=0.9 * np.eye(2), Q=0.01 * np.eye(2), x0_mean=np.zeros(2), P0=np.eye(2))
-    sensors = (SensorModel(C=[[1.0, 0.0]], R=[[0.01]]), SensorModel(C=[[0.0, 1.0]], R=[[0.01]]))
+    sensors = (SensorModel(C=[[1.0, 0.0]], R=[[0.01]]),
+               SensorModel(C=[[0.0, 1e-3]], R=[[1e-8]]))
     sc = Scenario(model=model, sensors=sensors, gamma_bar=[0.5, 0.1], gamma_bar_eve=[0.5, 0.1],
-                  a=[0.5, 0.5], delta=[1e-100, 1e60], s=1e100, horizon=5, trials=8, seed=123)
+                  a=[0.5, 0.5], delta=[1e-100, 1e54], s=1e100, horizon=5, trials=8, seed=123)
     # the authorized link delivers channel 0 only and the wiretap both, so only the
     # eavesdropper hears channel 1; then the other way round
     one, both = np.array([[1] * 5, [0] * 5]), np.ones((2, 5), dtype=int)
@@ -795,7 +881,7 @@ def test_block_outputs_do_not_depend_on_block_size(seed, d, m, policy, track):
             assert_same_blocks(run_block(sc, 0, sc.trials), whole)
     for size in (1, 2, 7, 32):
         parts = [run_block(sc, lo, min(lo + size, sc.trials)) for lo in range(0, sc.trials, size)]
-        for name in ("legit_err", "pred_err", "eve_err", "eve_saturated_at"):
+        for name in ("legit_sq", "pred_sq", "eve_err", "eve_saturated_at"):
             got = np.concatenate([getattr(part, name) for part in parts])
             assert got.tobytes() == getattr(whole, name).tobytes(), (size, name)
         assert np.array_equal(np.concatenate([part.events for part in parts]), whole.events)
