@@ -681,9 +681,9 @@ def test_monte_carlo_memory_does_not_grow_with_blocks():
     # blocks are folded into per-step sums as they arrive and freed before the
     # next one runs, so past one block the run adds only its (T, H) squared
     # prediction-error norms and their standard error's temporary, 16 bytes per
-    # trial-step. Measured: 16-17 bytes per added trial-step; 52 when the last
-    # block outlives the next one's run; 103-117 when every trial's (H, d_x)
-    # error series were gathered before the sums
+    # trial-step. Measured: 16-17 bytes per added trial-step (15.7 with blocks of
+    # 512); 52 when the last block outlives the next one's run; 103-117 when
+    # every trial's (H, d_x) error series were gathered before the sums
     import tracemalloc
 
     # numpy's first run allocates lasting caches, which would count in the first peak
