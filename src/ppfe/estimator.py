@@ -29,7 +29,7 @@ class FusionFilter:
 
     def __init__(self, model: SystemModel, sensors):
         self.A = model.A
-        self.C, self.R, self.channel = stack_sensors(sensors)
+        self.channel = stack_sensors(sensors)[2]
         self.cw, white = whitened_stack(sensors)
         d = model.d_x
         self.white_t = white.T

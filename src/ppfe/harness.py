@@ -27,9 +27,10 @@ EVE_SATURATION = 1e15
 # Most trials in one block. A three-tank block's traced peak is about 103
 # bytes per trial-step (256 trials x 500 steps), 40 of them what it returns:
 # two (B, H) squared norms and the eavesdropper's (B, H, d_x) errors, whose
-# pages past saturation are never touched. So a 500-step block of 512 trials
-# peaks near 26 MB traced. A 1000-trial A1 run at 1 worker peaked at 56, 68
-# and 88 MB RSS with blocks of at most 256, 512 and 1024 trials.
+# pages past saturation are never touched (72 bytes untracked, without them).
+# So a 500-step block of 512 trials peaks near 26 MB traced. A 1000-trial A1
+# run at 1 worker peaked at 56, 68 and 88 MB RSS with blocks of at most 256,
+# 512 and 1024 trials.
 MAX_BLOCK = 512
 
 # Rows of events.csv formatted and written at a time: the writer's traced peak
@@ -249,7 +250,8 @@ def build_worst_case(n_channels: int, horizon: int, channel: int, k_bar: int) ->
 class BlockResult:
     """Per-trial results of a contiguous block of trials: the legitimate party's
     squared error norms, and the eavesdropper's error vectors up to its
-    saturation step (0 from that step on, pages the block never touched)."""
+    saturation step (0 from that step on, pages the block never touched);
+    (B, 0, d_x) for an untracked eavesdropper, which never saturates."""
 
     legit_sq: np.ndarray           # (B, H) squared filtered-error norms ||x_k - xhat_{k|k}||^2
     pred_sq: np.ndarray            # (B, H) squared prediction-error norms ||x_k - xhat_{k|k-1}||^2
@@ -268,24 +270,25 @@ def run_block(scenario: Scenario, start: int, stop: int) -> BlockResult:
     uniforms are held. The legitimate filtered and prediction errors go into
     one window's buffers too, reduced to squared norms by one einsum when the
     window ends; only the eavesdropper's error vectors are kept for the whole
-    horizon, in a zeroed array written only before saturation. Both parties
-    run the same decoder and filter, so the row arrays hold one row per
-    (party, trial): the block's B legitimate rows, then one eavesdropper row
-    per trial whose eavesdropper is still live. `tr` maps a row to its trial
-    and `link` gives it its reception trace (authorized for the legitimate
-    rows, wiretap for the others). The encoder's reference always equals the
-    legitimate decoder's (the ACK mirrors it), so the encoder reads the first
-    B rows.
-    An eavesdropper saturates at the first step where a heard packet's growth
-    overflows, its decode error passes 1e15 or is not finite, or its
-    filtered error norm passes 1e15; divergence is the finding, not a
-    failure, so its row is dropped at that step. Both filters absorb the
-    received rows one whitened scalar at a time (`FusionFilter.update`); a
-    live row whose estimate or covariance is not finite after the update
-    fails. A failure of either filter, or of the legitimate codec, raises,
-    naming the party and the (seed, trial) pair. numpy computes a one-row
-    matmul by another path, so a lone trial runs as two identical trials and
-    keeps the first: a trial's results never depend on its block.
+    horizon, in a zeroed array written only before saturation ((B, 0, d_x)
+    untracked). Both parties run the same decoder and filter, so the row
+    arrays hold one row per (party, trial): the block's B legitimate rows,
+    then one eavesdropper row per trial whose eavesdropper is still live.
+    `tr` maps a row to its trial, `link` gives it its reception trace
+    (authorized for the legitimate rows, wiretap for the others) and `t_ref`
+    its last reception per component, -1 before the first. The encoder reads
+    the first B rows' references, which the ACK keeps equal to its own.
+    Saturation is decided once per step, after both filters: at the first
+    step where a heard packet's growth overflows, its decode error passes
+    1e15 or is not finite, or its filtered error norm passes 1e15.
+    Divergence is the finding, not a failure, so the row is dropped at that
+    step with all it absorbed there. Both filters absorb the received rows
+    one whitened scalar at a time (`FusionFilter.update`); a live row whose
+    estimate or covariance is not finite after the update fails. A failure
+    of either filter, or of the legitimate codec, raises, naming the party
+    and the (seed, trial) pair. numpy computes a one-row matmul by another
+    path, so a lone trial runs as two identical trials and keeps the first:
+    a trial's results never depend on its block.
     """
     model, sensors, h, seed = scenario.model, scenario.sensors, scenario.horizon, scenario.seed
     trials = range(start, stop) if stop - start > 1 else (start, start)
@@ -310,17 +313,17 @@ def run_block(scenario: Scenario, start: int, stop: int) -> BlockResult:
         quantizers = [substream(seed, "quantizer", t) for t in trials]
         uniforms = np.empty((b, WINDOW + 1, ch.size))    # a window has at most WINDOW + 1 steps
 
-    link = outcomes[:2 if scenario.track_eavesdropper else 1].reshape(-1, *outcomes.shape[2:])
+    track = scenario.track_eavesdropper
+    link = outcomes[:2 if track else 1].reshape(-1, *outcomes.shape[2:])
     tr = np.arange(len(link)) % b            # row -> trial of the block
     x = np.repeat(model.x0_mean[None], tr.size, axis=0)
     P = np.repeat(model.P0[None], tr.size, axis=0)
-    y_ref, t_ref = np.zeros((tr.size, ch.size)), np.zeros(link.shape[:2], dtype=int)
-    init = np.zeros(link.shape[:2], dtype=bool)
+    y_ref, t_ref = np.zeros((tr.size, ch.size)), np.full(link.shape[:2], -1)
     # one window's legitimate filtered and prediction errors, reduced to squared
     # norms when the window ends
     errs = np.empty((2, b, WINDOW + 1, d))
     sq = np.empty((2, b, h))
-    eve_err = np.zeros((b, h, d))            # written only before saturation
+    eve_err = np.zeros((b, h if track else 0, d))  # written only before saturation
     saturated_at = np.full(b, h)
     legit_time = scenario.eve_reference_policy == "legit-time"
     hi = 0
@@ -332,11 +335,10 @@ def run_block(scenario: Scenario, start: int, stop: int) -> BlockResult:
                 for rng, u in zip(quantizers, uniforms):
                     rng.random(out=u[:hi - lo])
         y = meas[:, k - lo]
-        eves = tr.size > b                   # some eavesdropper row is still live
         # "legit-time": an eavesdropper grows its own reference value over the overheard
         # ACK timing of its trial (before this step's ACK)
-        gap = k - (t_ref[tr] if legit_time else t_ref)[:, ch]
-        factor, overflow = growth_factors(a, gap, init[:, ch])
+        gap = k - np.maximum(t_ref[tr] if legit_time else t_ref, 0)[:, ch]
+        factor, overflow = growth_factors(a, gap, t_ref[:, ch] >= 0)
         if overflow[:b].any():
             row, comp = np.argwhere(overflow[:b])[0]
             raise CodecOverflowError(f"trial {trials[row]} (seed {seed}): reference growth "
@@ -354,36 +356,30 @@ def run_block(scenario: Scenario, start: int, stop: int) -> BlockResult:
         recv = link[:, :, k]
         with np.errstate(over="ignore", invalid="ignore"):
             ybar = reconstruct(z[tr], factor, y_ref, s)
-            if eves:
-                # an eavesdropper that loses any heard channel saturates at this step,
-                # whichever channel comes first, so all channels are decoded at once
-                lost = overflow | ~(np.abs(ybar - y[tr]) <= EVE_SATURATION)
-                died = (lost & recv[:, ch]).any(axis=1)
-                died[:b] = False
-                recv = recv & ~died[:, None]
             y_ref = np.where(recv[:, ch], ybar, y_ref)
             t_ref[recv] = k
-            init |= recv
             # a filter that leaves the float range fails the finiteness check below
             if k > 0:
                 x, P = fusion.predict(x, P, bu[k - 1])
             errs[1, :, k - lo] = states[:, k - lo] - x[:b]
             x, P = fusion.update(x, P, ybar, recv, rdec)
-        err = states[tr, k - lo] - x
+            err = states[tr, k - lo] - x
+            if tr.size > b:                  # some eavesdropper row is still live
+                # it saturates when a heard channel's growth overflows or its decode is
+                # lost, or when its filter blows up before a decode does
+                lost = overflow | ~(np.abs(ybar - y[tr]) <= EVE_SATURATION)
+                gone = ((lost & recv[:, ch]).any(axis=1)
+                        | (np.linalg.norm(err, axis=1) > EVE_SATURATION))
+                gone[:b] = False
+                if gone.any():
+                    saturated_at[tr[gone]] = k
+                    tr, link, x, P, y_ref, t_ref, err = (
+                        v[~gone] for v in (tr, link, x, P, y_ref, t_ref, err))
+                eve_err[tr[b:], k] = err[b:]
         errs[0, :, k - lo] = err[:b]
         if k + 1 == hi:
             w = errs[:, :, :hi - lo]
             sq[:, :, lo:hi] = np.einsum("pbwd,pbwd->pbw", w, w)
-        if eves:
-            # the filter itself can blow up one step before the decode check trips
-            gone = died | (np.linalg.norm(err, axis=1) > EVE_SATURATION)
-            gone[:b] = False
-            if gone.any():
-                saturated_at[tr[gone]] = k
-                keep = ~gone
-                tr, link, x, P, y_ref, t_ref, init, err = (
-                    v[keep] for v in (tr, link, x, P, y_ref, t_ref, init, err))
-            eve_err[tr[b:], k] = err[b:]
         # two sums clear a step; only when they are not finite are the rows tested
         if not np.isfinite(x.sum() + P.sum()):
             bad = ~(np.isfinite(x).all(axis=1) & np.isfinite(P).all(axis=(1, 2)))
@@ -476,11 +472,12 @@ def run_monte_carlo(scenario: Scenario, workers: int = 1,
         events.append(block.events)
         # trial by trial, so that no sum depends on the split into blocks; an
         # eavesdropper entry is read only before its trial saturates, so the
-        # pages of its tail are never touched
+        # pages of its tail are never touched (an untracked one has no entries)
         for row, e_eve, stop in zip(block.legit_sq, block.eve_err, saturated_at[lo:hi]):
             legit_sq += row
-            eve_sq[:stop] += np.einsum("hd,hd->h", e_eve[:stop], e_eve[:stop])
-            eve_sum[:stop] += e_eve[:stop]
+            e_eve = e_eve[:stop]
+            eve_sq[:len(e_eve)] += np.einsum("hd,hd->h", e_eve, e_eve)
+            eve_sum[:len(e_eve)] += e_eve
         lo = hi
         del block, row, e_eve                # freed before the next block runs
 

@@ -87,10 +87,11 @@ def test_build_augmented_reduced_stack_three_tank():
     # the stacked measurement model the masked update runs on
     _, sensors = three_tank_preset()
     fusion = FusionFilter(three_tank_preset()[0], sensors)
-    assert fusion.C.shape == (6, 3)
-    assert np.array_equal(fusion.C[:2], sensors[0].C)
-    assert np.array_equal(fusion.C[4:], sensors[2].C)
-    assert np.allclose(fusion.R, np.diag([1e-4] * 6))
+    # each sensor's rows R_i^{-1/2} C_i, in sensor order; R_i = 1e-4 I whitens to 100 C_i
+    assert fusion.cw.shape == (6, 3)
+    assert np.array_equal(fusion.cw[:2], whitened_stack(sensors[:1])[0])
+    assert np.array_equal(fusion.cw[4:], whitened_stack(sensors[2:])[0])
+    assert np.allclose(fusion.cw, 100.0 * np.vstack([sn.C for sn in sensors]))
     assert np.array_equal(fusion.channel, [0, 0, 1, 1, 2, 2])
     codecs = [CodecParams(a=5.0, delta=0.01, s=1.0)] * 3
     # bound-mode decoding variance: s^2 delta^2 / 4 per component

@@ -14,7 +14,7 @@ from hypothesis.extra.numpy import arrays
 from ppfe import harness
 from ppfe.channel import sample_outcomes
 from ppfe.codec import (CodecOverflowError, CodecParams, ack, bootstrap_state, decode,
-                        eavesdrop_decode, encode)
+                        eavesdrop_decode, encode, growth_factors)
 from ppfe.estimator import run_filter
 from ppfe.harness import (EVE_SATURATION, Scenario, build_worst_case, compute_bound,
                           detect_critical_events, run_block, run_monte_carlo,
@@ -300,6 +300,36 @@ def test_eavesdropper_filter_blow_up_saturates():
         assert sat < h and block.eve_saturated_at[t] == sat
         np.testing.assert_allclose(block.eve_err[t, :sat], eve_err, rtol=1e-12)
         assert (block.eve_err[t, sat:] == 0.0).all()
+
+
+def test_block_matches_reference_when_eavesdroppers_die_by_growth_overflow():
+    # channel 2 grows by a = 1e10, its authorized link always delivers and its
+    # wiretap rarely hears. An eavesdropper hears its first packet there off by
+    # about 1e10 |y| ~ 1e9, under the decode check. If its next packet comes 30 or
+    # more steps later (30 ln a > 690), the growth overflows and the factor is set
+    # to 1, so the decode is again off by only about 1e9: the overflow alone
+    # saturates it. One that hears sooner saturates on its decode error instead
+    a = 1e10
+    sc = replace(scenario_preset("three-tank-groupA1", seed=7, horizon=100, trials=8),
+                 a=np.array([0.5, 0.5, a]), gamma_bar=np.array([0.9, 0.95, 1.0]),
+                 gamma_bar_eve=np.array([0.9, 0.85, 0.05]))
+    block = run_block(sc, 0, sc.trials)
+    wire = sample_outcomes(sc.gamma_bar, sc.gamma_bar_eve, sc.horizon,
+                           [substream(sc.seed, "channel", t) for t in range(sc.trials)])[1, :, 2]
+    by_overflow = []
+    for t in range(sc.trials):
+        states, _legit, sat, eve_err = reference_trial(sc, t)
+        assert block.eve_saturated_at[t] == sat < sc.horizon
+        heard = np.flatnonzero(wire[t, :sat + 1])
+        if heard[-1] == sat and heard.size > 1 and growth_factors(a, sat - heard[-2], True)[1]:
+            by_overflow.append(sat)
+        # the estimates reach about 1e9, so they are compared at their own scale
+        tol = dict(rtol=1e-12, atol=1e-12 * max(np.abs(states).max(), np.abs(eve_err).max()))
+        np.testing.assert_allclose(block.eve_err[t, :sat], eve_err, **tol)
+        assert (block.eve_err[t, sat:] == 0.0).all()
+    # three rows die by overflow, at different steps of one window
+    assert len(set(by_overflow)) == 3
+    assert len({k // harness.WINDOW for k in by_overflow}) == 1
 
 
 # ---------------------------------------------------------------- monte carlo
@@ -706,19 +736,23 @@ def test_block_traced_peak_per_trial_step():
     # a block returns two (B, H) squared norms and the eavesdropper's (B, H, d_x)
     # errors, and reduces the legitimate errors window by window. Measured on a
     # three-tank block of 256 trials x 500 steps: 103 bytes per trial-step; 130
-    # when it returned the (B, H, d_x) legitimate and prediction errors too
+    # when it returned the (B, H, d_x) legitimate and prediction errors too.
+    # Untracked, the eavesdropper's array is (B, 0, d_x): 72 bytes per
+    # trial-step; 96 when it was (B, H, d_x) and never written
     import tracemalloc
 
     run_block(scenario_preset("three-tank-groupA1", seed=3, horizon=10, trials=4), 0, 4)
-    sc = scenario_preset("three-tank-groupA1", seed=3, horizon=500, trials=256)
-    tracemalloc.start()
-    try:
-        run_block(sc, 0, sc.trials)
-        peak = tracemalloc.get_traced_memory()[1]
-    finally:
-        tracemalloc.stop()
-    per_trial_step = peak / (sc.trials * sc.horizon)
-    assert per_trial_step < 115, per_trial_step
+    for track, limit in ((True, 115), (False, 80)):
+        sc = replace(scenario_preset("three-tank-groupA1", seed=3, horizon=500, trials=256),
+                     track_eavesdropper=track)
+        tracemalloc.start()
+        try:
+            run_block(sc, 0, sc.trials)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        per_trial_step = peak / (sc.trials * sc.horizon)
+        assert per_trial_step < limit, (track, per_trial_step)
 
 
 def old_events_csv(events) -> bytes:

@@ -8,7 +8,7 @@ from ppfe.analysis import BoundParams, hadamard_weight, inflation_diag
 from ppfe.codec import CodecParams
 from ppfe.estimator import FusionFilter, decoding_noise, run_filter
 from ppfe.model import (SensorModel, SystemModel, from_config, simulate_plant, simulate_plants,
-                        three_tank_preset)
+                        three_tank_preset, whitened_stack)
 from ppfe.rng import substream
 
 
@@ -217,8 +217,13 @@ def test_stacked_layout_matches_per_sensor_references(dims, seed):
     fusion = FusionFilter(model, sensors)
     params = BoundParams(A=model.A, qeff=model.qeff, sensors=sensors, gamma_bar=gamma, s=s,
                          distortion_rates=rates)
-    for c, r in ((fusion.C, fusion.R), (params.c_stack, params.r_block)):
-        assert c.tobytes() == c_ref.tobytes() and r.tobytes() == r_ref.tobytes()
+    assert params.c_stack.tobytes() == c_ref.tobytes()
+    assert params.r_block.tobytes() == r_ref.tobytes()
+    # the filter's whitened rows R_i^{-1/2} C_i and its block-diagonal R^{-1/2}
+    per_sensor = [whitened_stack([sn]) for sn in sensors]
+    cw_ref = np.vstack([cw for cw, _ in per_sensor])
+    assert fusion.cw.tobytes() == params.whitened.tobytes() == cw_ref.tobytes()
+    assert fusion.white_t.T.tobytes() == blocks([root for _, root in per_sensor]).tobytes()
     channel = fusion.channel
     assert channel.tolist() == params.channel.tolist() == [i for i, m in enumerate(dims)
                                                             for _ in range(m)]
