@@ -27,7 +27,7 @@ EVE_SATURATION = 1e15
 # Most trials in one block. A three-tank block's traced peak is about 103
 # bytes per trial-step (256 trials x 500 steps), 40 of them what it returns:
 # two (B, H) squared norms and the eavesdropper's (B, H, d_x) errors, whose
-# pages past saturation are never touched (72 bytes untracked, without them).
+# pages past saturation are never touched (71 bytes untracked, without them).
 # So a 500-step block of 512 trials peaks near 26 MB traced. A 1000-trial A1
 # run at 1 worker peaked at 56, 68 and 88 MB RSS with blocks of at most 256,
 # 512 and 1024 trials.

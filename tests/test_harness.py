@@ -321,7 +321,7 @@ def test_block_matches_reference_when_eavesdroppers_die_by_growth_overflow():
         states, _legit, sat, eve_err = reference_trial(sc, t)
         assert block.eve_saturated_at[t] == sat < sc.horizon
         heard = np.flatnonzero(wire[t, :sat + 1])
-        if heard[-1] == sat and heard.size > 1 and growth_factors(a, sat - heard[-2], True)[1]:
+        if heard.size > 1 and heard[-1] == sat and growth_factors(a, sat - heard[-2], True)[1]:
             by_overflow.append(sat)
         # the estimates reach about 1e9, so they are compared at their own scale
         tol = dict(rtol=1e-12, atol=1e-12 * max(np.abs(states).max(), np.abs(eve_err).max()))
@@ -737,8 +737,8 @@ def test_block_traced_peak_per_trial_step():
     # errors, and reduces the legitimate errors window by window. Measured on a
     # three-tank block of 256 trials x 500 steps: 103 bytes per trial-step; 130
     # when it returned the (B, H, d_x) legitimate and prediction errors too.
-    # Untracked, the eavesdropper's array is (B, 0, d_x): 72 bytes per
-    # trial-step; 96 when it was (B, H, d_x) and never written
+    # Untracked, the eavesdropper's array is (B, 0, d_x): 71 bytes per
+    # trial-step; 95 when it was (B, H, d_x) and never written
     import tracemalloc
 
     run_block(scenario_preset("three-tank-groupA1", seed=3, horizon=10, trials=4), 0, 4)
