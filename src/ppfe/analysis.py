@@ -16,7 +16,7 @@ from .model import SensorModel, psd_factor, stack_sensors, symmetrize, whitened_
 
 GAMMA_CAP = 1.0 - 1e-9
 DIVERGENCE_TRACE = 1e12
-# iterate_bound's run-ahead after a degenerate step: the most iterates one
+# iterate_bound's look-ahead after a degenerate step: the most iterates one
 # batched evaluation of the retention scalar covers
 SPAN_MAX = 64
 # pbh_unit_circle: distance that puts an eigenvalue on the unit circle; rank cut-off
@@ -101,15 +101,19 @@ class BoundSequence:
 
     `traces` holds the trace of each iterate, recorded as the iteration ran;
     `degenerate_steps` counts the iterates whose retention scalar was 0, i.e.
-    the steps that fell back to the prediction-only recursion.
+    the steps that fell back to the prediction-only recursion; `fixed_point`
+    is the last iterate of a converged run and None otherwise.
     """
 
     iterates: list[np.ndarray]
     traces: np.ndarray
     converged: bool
     diverged: bool
-    fixed_point: np.ndarray | None
     degenerate_steps: int = 0
+
+    @property
+    def fixed_point(self) -> np.ndarray | None:
+        return self.iterates[-1] if self.converged else None
 
     @property
     def verdict(self) -> str:
@@ -229,19 +233,17 @@ def iterate_bound(
     Convergence is declared at relative Frobenius change < tol, divergence at a
     trace above DIVERGENCE_TRACE or not finite.
 
-    In recompute mode, every step's w comes from one arithmetic:
-    `distortion_rates`, `inflation_diag` and `retention_scalar`, called on a
-    stack of iterates. After a degenerate step (w = 0) the loop runs the w = 0
-    map ahead from the current iterate and evaluates w at up to `span`
-    iterates of that run in one call. It steps through the leading iterates
-    with w = 0, and from the first one with w != 0 with the w that call gave.
-    A call that raises is repeated on the current iterate alone, which raises
-    where and how the step-by-step run would, or gives its w. The span doubles
-    while a call finds every w = 0, halves otherwise and is capped at
-    SPAN_MAX. The stacked calls give each iterate the bits of its own call,
-    and the run ahead makes the `riccati_map` calls the steps make, so
-    iterates, traces, verdicts, degenerate counts and errors do not depend on
-    the span.
+    Each pass of the loop looks ahead from the current iterate: after a
+    degenerate step (w = 0) it runs the w = 0 map for up to SPAN_MAX iterates
+    within the step budget, stopping before a trace above DIVERGENCE_TRACE,
+    and evaluates w at all of them in one call of `distortion_rates`,
+    `inflation_diag` and `retention_scalar`. A call that raises is repeated on
+    the current iterate alone, which raises where and how the step-by-step run
+    would, or gives its w. The pass then steps through the run while w = 0 and
+    ends at the first w != 0, at convergence or at divergence. The stacked
+    calls give each iterate the bits of its own call, and the run makes the
+    `riccati_map` calls the steps make, so iterates, traces, verdicts,
+    degenerate counts and errors do not depend on SPAN_MAX.
     """
     if max_steps < 1:
         raise ValueError("max_steps must be >= 1")
@@ -251,27 +253,23 @@ def iterate_bound(
         raise ValueError("fixed mode needs distortion rates in params.distortion_rates")
 
     current = symmetrize(np.asarray(v1, dtype=float))
-    iterates = [current]
-    traces = [float(current.trace())]
-    degenerate = 0
-    converged = False
-    diverged = False
-    w = None if recompute else retention_scalar(
+    iterates, traces = [current], [float(current.trace())]
+    fixed_w = None if recompute else retention_scalar(
         current, params.c_stack, params.r_block,
         inflation_diag(params.distortion_rates, params.s, params.channel))
-    # ys[0] is the current iterate and ys[1:] its w = 0 run; ts holds their
-    # traces and ws their w
-    span, ys, ts, ws = 1, [], [], []
-    for _ in range(max_steps - 1):
-        if recompute and not ws:
-            ys, ts = [current], [traces[-1]]
-            for _ in range(min(span, max_steps - len(iterates)) - 1 if w == 0.0 else 0):
-                y = riccati_map(ys[-1], params, 0.0)
-                tr = float(y.trace())
-                if not tr <= DIVERGENCE_TRACE:
-                    break
-                ys.append(y)
-                ts.append(tr)
+    degenerate, converged, diverged, w = 0, False, False, None
+    # each pass: ys, the current iterate and, after a degenerate step (the last
+    # pass's w = 0), its w = 0 run; ts their traces and ws their w
+    while len(iterates) < max_steps and not (converged or diverged):
+        ys, ts = [current], [traces[-1]]
+        while w == 0.0 and len(ys) < min(SPAN_MAX, max_steps - len(iterates)):
+            y = riccati_map(ys[-1], params, 0.0)
+            tr = float(y.trace())
+            if not tr <= DIVERGENCE_TRACE:
+                break
+            ys.append(y)
+            ts.append(tr)
+        if recompute:
             for xs in (np.array(ys), current[None]):
                 try:
                     rates = distortion_rates(xs, params.groups, params.delta, params.s)
@@ -281,39 +279,25 @@ def iterate_bound(
                 except ValueError:  # from some iterate: retry the current one alone
                     if len(xs) == 1:
                         raise
-            if w == 0.0:
-                span = (min(2 * span, SPAN_MAX) if len(ws) == len(ys) and not any(ws)
-                        else max(1, span // 2))
-        if recompute:
-            w = ws.pop(0)
-            del ys[0], ts[0]
-            if w != 0.0:
-                ws.clear()
-        if ys and w == 0.0:
-            nxt, tr = ys[0], ts[0]
         else:
-            nxt = riccati_map(current, params, w)
-            tr = float(nxt.trace())
-        if w == 0.0:
-            degenerate += 1
-        iterates.append(nxt)
-        rel = _fro(nxt - current) / max(1.0, _fro(current))
-        current = nxt
-        traces.append(tr)
-        if not tr <= DIVERGENCE_TRACE:
-            diverged = True
-            break
-        if rel < tol:
-            converged = True
-            break
-    return BoundSequence(
-        iterates=iterates,
-        traces=np.array(traces),
-        converged=converged,
-        diverged=diverged,
-        fixed_point=iterates[-1] if converged else None,
-        degenerate_steps=degenerate,
-    )
+            ws = [fixed_w] * len(ys)
+        for j, w in enumerate(ws):
+            if w == 0.0 and j + 1 < len(ys):
+                nxt, tr = ys[j + 1], ts[j + 1]
+            else:
+                nxt = riccati_map(current, params, w)
+                tr = float(nxt.trace())
+            degenerate += w == 0.0
+            iterates.append(nxt)
+            traces.append(tr)
+            rel = _fro(nxt - current) / max(1.0, _fro(current))
+            current = nxt
+            diverged = not tr <= DIVERGENCE_TRACE
+            converged = not diverged and rel < tol
+            if diverged or converged or w != 0.0:
+                break
+    return BoundSequence(iterates=iterates, traces=np.array(traces), converged=converged,
+                         diverged=diverged, degenerate_steps=degenerate)
 
 
 def mahler_entropy(a: np.ndarray) -> tuple[float, float]:

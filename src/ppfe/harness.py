@@ -138,8 +138,14 @@ class Scenario:
     def bound_params(self) -> BoundParams:
         """Analysis-side parameters with lossless links capped. Built on first use, not
         with the scenario: `conditions` needs neither the bound nor the filter, which
-        both whiten the sensors (`model.whitened_stack`)."""
-        return BoundParams(A=self.model.A, qeff=self.model.qeff, sensors=self.sensors,
+        both whiten the sensors (`model.whitened_stack`) and start from V_1, the
+        first prediction covariance, which must be finite."""
+        model = self.model
+        with np.errstate(over="ignore", invalid="ignore"):
+            v1 = model.A @ model.P0 @ model.A.T + model.qeff
+        if not np.isfinite(v1).all():
+            raise ValueError("the first prediction covariance A P0 A^T + D Q D^T is not finite")
+        return BoundParams(A=model.A, qeff=model.qeff, sensors=self.sensors,
                            gamma_bar=cap_gamma(self.gamma_bar), s=self.s, delta=self.delta)
 
 
@@ -417,8 +423,9 @@ def compute_bound(scenario: Scenario, tol: float = 1e-10,
 
     trace[0] is tr(P0) (the exact step-0 prediction covariance); trace[k]
     for k >= 1 follows the iterates from V_1 = A P0 A^T + Qeff, held at the
-    last iterate after convergence. `max_steps` defaults to the horizon; a
-    larger budget lets the fixed-point verdict settle past the horizon.
+    last iterate once they end, whatever the verdict. `max_steps` defaults to
+    the horizon; a larger budget lets the fixed-point verdict settle past the
+    horizon.
     """
     model = scenario.model
     v1 = model.A @ model.P0 @ model.A.T + model.qeff

@@ -379,14 +379,14 @@ def exact_steps_only():
        gammas=st.lists(st.floats(0.5, 1.0, exclude_min=True, exclude_max=True),
                        min_size=1, max_size=4),
        s=st.sampled_from([-1.0, 0.5, 1.0, 2.0]), recompute=st.booleans(),
-       coarse=st.booleans(), indefinite=st.booleans())
+       coarse=st.booleans(), indefinite=st.booleans(), data=st.data())
 def test_iterate_bound_matches_per_sensor_reference(seed, d, gammas, s, recompute, coarse,
-                                                   indefinite):
+                                                   indefinite, data):
     # the batched step must do the old step's floating-point work bit for bit.
     # Coarse steps on a plant at the stability edge give degenerate runs longer
-    # than SPAN_MAX, some of which turn to w > 0 inside a span; an indefinite
-    # V_1 with a small Q can drive S = C X C^T + R indefinite, sometimes inside
-    # a run ahead
+    # than SPAN_MAX, some of which turn to w > 0 inside a look-ahead; a drawn
+    # budget can end inside one; an indefinite V_1 with a small Q can drive
+    # S = C X C^T + R indefinite, sometimes inside a look-ahead
     rng = np.random.default_rng(seed)
     sensors = []
     for _ in gammas:
@@ -403,7 +403,7 @@ def test_iterate_bound_matches_per_sensor_reference(seed, d, gammas, s, recomput
                                                    len(gammas)),
                          distortion_rates=rng.uniform(1e-6, 0.9, len(gammas)))
     v1 = (mv @ mv.T + np.eye(d)) * (-0.01 if indefinite else 1.0)
-    max_steps = 400 if coarse else 150
+    max_steps = data.draw(st.integers(1, 400 if coarse else 150), label="max_steps")
 
     seq = outcome(lambda: iterate_bound(v1, params, max_steps, recompute=recompute))
     expected = outcome(lambda: reference_bound(v1, params, max_steps, recompute, 1e-10))
@@ -426,7 +426,7 @@ def test_iterate_bound_matches_per_sensor_reference(seed, d, gammas, s, recomput
 @pytest.mark.parametrize("gap", [1e-12, -1e-12], ids=["just-short", "just-degenerate"])
 def test_run_ahead_leaves_the_w_zero_run_at_a_knife_edge_step(gap):
     # a scalar plant whose w = 0 run puts v^2 = 1 - gap at iterate 99, inside
-    # the evaluation of iterates 64..118 that follows 64 degenerate steps.
+    # the evaluation of iterates 65..118 that follows 65 degenerate steps.
     # There S - V S V = S gap, so the step is degenerate exactly when gap < 0
     x = 1.0
     for _ in range(99):
@@ -484,8 +484,9 @@ def test_preset_bounds_do_not_depend_on_the_span():
 
 
 def test_preset_bound_evaluates_w_in_few_batched_calls(monkeypatch):
-    # A1's bound runs 1618 steps, 27 with w > 0; 58 calls evaluate w for all
-    # of them, the same ones on every run
+    # A1's bound runs 1618 steps, the first 27 with w > 0: one call each for
+    # those and for the first degenerate step, then 25 look-aheads of up to
+    # SPAN_MAX = 64 iterates for the other 1590, the same ones on every run
     calls = []
 
     def spy(*args):
@@ -500,7 +501,7 @@ def test_preset_bound_evaluates_w_in_few_batched_calls(monkeypatch):
         seq, _ = compute_bound(scenario, max_steps=10_000)
         assert (seq.verdict, len(seq.iterates), seq.degenerate_steps) == ("converged", 1619, 1591)
         counts.append(len(calls))
-    assert counts[0] == counts[1] == 58
+    assert counts[0] == counts[1] == 53
 
 
 def test_iterate_bound_requires_matching_mode_inputs():

@@ -448,6 +448,10 @@ def test_non_finite_model_entry_is_usage_error(tmp_path, command, key, value):
     assert f"{key} must be finite" in line
 
 
+# the fault of a scenario whose first prediction covariance A P0 A^T + D Q D^T overflows
+FIRST_PREDICTION = r"\bfirst prediction covariance A P0 A\^T \+ D Q D\^T is not finite$"
+
+
 def model_with(**entries):
     """scalar_config's model with some entries replaced."""
     return dict(scalar_config()["model"], **entries)
@@ -499,6 +503,7 @@ def missing(key):
      {"preset": "three-tank-groupA1", "delta": [0.01, 0.01, 1e200], "trials": 2, "horizon": 20}),
     (r"s\^2 delta\^2 / 4 overflows with delta = 0\.01 and s = 1e\+200$",
      scalar_config(codec={"a": [2.0], "delta": [0.01], "s": 1e200})),
+    (FIRST_PREDICTION, scalar_config(model=model_with(A=[[1e155]]))),
 ], ids=["preset-s-null", "full-s-null", "a-string", "gamma-string", "channel-int",
         "codec-list", "override-int", "sensor-int", "sensors-int", "sensors-object",
         "model-int", "matrix-string", "vector-ragged", "top-level-list",
@@ -506,10 +511,16 @@ def missing(key):
         "no-channel", "no-codec", "no-horizon", "no-gamma-eve", "no-s",
         "preset-gamma-bool", "preset-s-bool", "preset-a-null", "full-s-bool",
         "full-gamma-eve-bool", "no-sensors", "preset-decoding-noise-overflow",
-        "full-decoding-noise-overflow"])
+        "full-decoding-noise-overflow", "first-prediction-overflow"])
 def test_config_fault_names_its_key(tmp_path, want, cfg):
-    # every command builds its scenario the same way, so each must stop there
+    # every command builds its scenario the same way, so each must stop there,
+    # except that `conditions` forms no V_1 and runs on an A that overflows it
     for command in ("simulate", "bound", "conditions"):
+        if command == "conditions" and want == FIRST_PREDICTION:
+            proc = run_cli(command, "--scenario", write_scenario(tmp_path, cfg),
+                           "--out", str(tmp_path / "out"))
+            assert proc.returncode == 0 and not proc.stderr, proc.stderr
+            continue
         line = config_fault(tmp_path, command, cfg)
         assert re.search(want, line), (command, line)
 

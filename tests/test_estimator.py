@@ -4,7 +4,7 @@ from pathlib import Path
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from ppfe.analysis import BoundParams
 from ppfe.codec import CodecParams
@@ -395,29 +395,49 @@ def test_masked_batched_update_equals_reduced_form(seed, d, m, rows):
 
 
 
-def whitened_peak(sensors, P, received):
-    """Largest eigenvalue of the whitened innovation covariance
-    R_r^{-1/2} (C_r P C_r^T + R_r) R_r^{-1/2} over the received sensors r, 1 when
-    none is received; its least eigenvalue is at least 1."""
-    heard = [s for s, r in zip(sensors, received) if r]
-    if not heard:
-        return 1.0
-    cw = whitened_stack(heard)[0]
-    return 1.0 + float(np.linalg.eigvalsh(cw @ P @ cw.T)[-1])
+def whitened_scales(sensors, P, x, y, received):
+    """Over the received sensors r, with C~ = R_r^{-1/2} C_r the whitened stack
+    and S~ = C~ P C~^T + I the whitened innovation covariance: lambda, the
+    largest eigenvalue of S~ (its least is at least 1), and
+    ||P||_2 ||C~||_F sqrt(e^T S~^-1 e), e = R_r^{-1/2} y_r - C~ x the whitened
+    innovation; (1, 0) when none is received."""
+    heard = np.flatnonzero(received)
+    if not heard.size:
+        return 1.0, 0.0
+    cw, white = whitened_stack([sensors[i] for i in heard])
+    cols = np.cumsum([0, *(s.d_y for s in sensors)])
+    e = white @ np.concatenate([y[cols[i]:cols[i + 1]] for i in heard]) - cw @ x
+    mu, v = np.linalg.eigh(cw @ P @ cw.T)
+    chi2 = np.sum((v.T @ e) ** 2 / (1.0 + np.maximum(mu, 0.0)))
+    return 1.0 + float(mu[-1]), float(np.linalg.norm(P, 2) * np.linalg.norm(cw) * np.sqrt(chi2))
 
 
 @settings(max_examples=200, deadline=None)
 @given(seed=st.integers(0, 2 ** 32 - 1), d=st.integers(1, 4), m=st.integers(1, 4),
        rows=st.integers(1, 5), r_scale=st.sampled_from([1.0, 1e-4, 1e-8, 1e-12, 1e-15]),
        p_scale=st.sampled_from([1e-6, 1.0, 1e6]))
+@example(seed=651, d=2, m=2, rows=2, r_scale=1.0, p_scale=1e6)
 def test_sequential_update_matches_covariance_form_at_any_scale(seed, d, m, rows, r_scale,
                                                                p_scale):
     # positive-definite sensors at noise scales down to 1e-15, priors singular
     # before the prediction: every row updates to a finite, exactly symmetric P.
-    # The whitened steps round at about eps * lambda of the prior's scale, lambda
-    # the largest eigenvalue of the whitened innovation covariance (the prior
-    # against the noise), so a row with lambda <= 1e8 matches the covariance form
-    # K = P C^T S^-1 within 5e-14 * lambda (measured: at most 4e-15 * lambda)
+    # Rounding of the whitened steps, to first order in eps: step j (row c_j,
+    # with the prior P_j <= P of the steps before it) subtracts k pc^T, which
+    # lies between 0 and P_j, so it leaves an error of about eps ||P|| in P.
+    # The steps after it carry that into x as dP c_j n_j / a_j, with
+    # n_j = y~_j - c_j^T x_j the step's innovation and a_j = c_j^T P_j c_j + 1
+    # >= 1 its variance. By Cauchy-Schwarz, and sum_j n_j^2 / a_j = e^T S~^-1 e
+    # (the steps factor S~), the sum over the steps is at most
+    # eps ||P||_2 ||C~||_F sqrt(e^T S~^-1 e). The cancellation in P -= k pc^T
+    # adds eps lambda of the estimate's scale (lambda: the prior against the
+    # noise). The covariance form K = P C^T S^-1 carries the same P C^T into the
+    # same innovation, so a row with lambda <= 1e8 matches it within 5e-14 of
+    # the sum of the two scales (measured on 26 828 random rows: at most
+    # 4.3 eps = 9.5e-16 of it). Row 1 of the pinned example has P of 6.2e6
+    # along a direction its one heard sensor barely sees (lambda = 756). Exact
+    # rational arithmetic puts the filter's x off by 1.05e-9 and the covariance
+    # form's by 3.2e-10, 1.3 and 0.4 eps of the sum, where eps lambda of the
+    # estimate's scale alone is 2.7e-12
     rng = np.random.default_rng(seed)
     sensors = []
     for _ in range(m):
@@ -439,13 +459,14 @@ def test_sequential_update_matches_covariance_form_at_any_scale(seed, d, m, rows
     assert np.isfinite(bx).all() and np.isfinite(bP).all()
     assert np.array_equal(bP, np.swapaxes(bP, 1, 2))
     for j in range(rows):
-        peak = whitened_peak(sensors, P[j], received[j])
+        peak, carried = whitened_scales(sensors, P[j], x[j], y[j], received[j])
         if peak > 1e8:
             continue
         rx, rp = reduced_form_update(x[j], P[j], y[j], received[j], sensors, rdec)
         tol = 5e-14 * peak
         assert np.abs(bP[j] - rp).max() <= tol * max(np.abs(P[j]).max(), np.abs(rp).max())
-        assert np.abs(bx[j] - rx).max() <= tol * (np.abs(x[j]).max() + np.abs(rx).max())
+        assert np.abs(bx[j] - rx).max() <= \
+            5e-14 * (peak * (np.abs(x[j]).max() + np.abs(rx).max()) + carried)
 
 
 def random_plant(rng, d, m):
