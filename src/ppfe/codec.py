@@ -10,7 +10,7 @@ acknowledgments) stays lossless in expectation.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -29,6 +29,8 @@ class CodecParams:
     a: float
     delta: float
     s: float
+    # the filters' decoding-noise variance s^2 delta^2 / 4 (`estimator.decoding_noise`)
+    variance: float = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         if not 0.0 < self.a < math.inf:
@@ -37,14 +39,15 @@ class CodecParams:
             raise ValueError(f"quantization step delta must be positive and finite, got {self.delta}")
         if self.s == 0.0 or not math.isfinite(self.s):
             raise ValueError(f"scale s must be nonzero and finite, got {self.s}")
-        # the filters' decoding-noise variance (`estimator.decoding_noise`), in its arithmetic
         try:
             variance = float(self.s) ** 2 * float(self.delta) ** 2 / 4.0
         except OverflowError:
             variance = math.inf
-        if not math.isfinite(variance):
-            raise ValueError(f"decoding-noise variance s^2 delta^2 / 4 overflows with "
+        if not 0.0 < variance < math.inf:
+            raise ValueError(f"decoding-noise variance s^2 delta^2 / 4 "
+                             f"{'overflows' if variance else 'underflows to 0'} with "
                              f"delta = {self.delta} and s = {self.s}")
+        object.__setattr__(self, "variance", variance)
 
 
 @dataclass(frozen=True)

@@ -85,7 +85,7 @@ def decoding_noise(codecs: list[CodecParams], channel: np.ndarray,
     or 0 with no quantizer."""
     if transparent:
         return np.zeros(channel.size)
-    return np.array([c.s ** 2 * c.delta ** 2 / 4.0 for c in codecs])[channel]
+    return np.array([c.variance for c in codecs])[channel]
 
 
 def run_filter(

@@ -138,13 +138,16 @@ class Scenario:
     def bound_params(self) -> BoundParams:
         """Analysis-side parameters with lossless links capped. Built on first use, not
         with the scenario: `conditions` needs neither the bound nor the filter, which
-        both whiten the sensors (`model.whitened_stack`) and start from V_1, the
-        first prediction covariance, which must be finite."""
+        whiten the sensors (`model.whitened_stack`) and need a finite V_1, the first
+        prediction covariance, and a finite covariance prediction map kron(A, A)."""
         model = self.model
         with np.errstate(over="ignore", invalid="ignore"):
             v1 = model.A @ model.P0 @ model.A.T + model.qeff
+            kron_finite = np.isfinite(np.kron(model.A, model.A)).all()
         if not np.isfinite(v1).all():
             raise ValueError("the first prediction covariance A P0 A^T + D Q D^T is not finite")
+        if not kron_finite:
+            raise ValueError("the covariance prediction map kron(A, A) is not finite")
         return BoundParams(A=model.A, qeff=model.qeff, sensors=self.sensors,
                            gamma_bar=cap_gamma(self.gamma_bar), s=self.s, delta=self.delta)
 
@@ -271,15 +274,16 @@ def run_block(scenario: Scenario, start: int, stop: int) -> BlockResult:
     decode -> both filters, each step one set of array operations over the block.
 
     Each trial draws its own (seed, role, trial) streams, in the order a
-    step-by-step draw would use; the plant and quantizer streams are drawn in
-    windows of WINDOW steps, so no whole-horizon states, measurements or
-    uniforms are held. The legitimate filtered and prediction errors go into
-    one window's buffers too, reduced to squared norms by one einsum when the
-    window ends; only the eavesdropper's error vectors are kept for the whole
-    horizon, in a zeroed array written only before saturation ((B, 0, d_x)
-    untracked). Both parties run the same decoder and filter, so the row
-    arrays hold one row per (party, trial): the block's B legitimate rows,
-    then one eavesdropper row per trial whose eavesdropper is still live.
+    step-by-step draw would use. The loop walks the windows of plant states
+    and measurements that `simulate_plants` yields; each draws its quantizer
+    uniforms, runs its steps and reduces its legitimate filtered and
+    prediction errors to squared norms by one einsum, so no whole-horizon
+    states, measurements or uniforms are held. Only the eavesdropper's error
+    vectors are kept for the whole horizon, in a zeroed array written only
+    before saturation ((B, 0, d_x) untracked). Both parties run the same
+    decoder and filter, so the row arrays hold one row per (party, trial):
+    the block's B legitimate rows, then one eavesdropper row per trial whose
+    eavesdropper is still live.
     `tr` maps a row to its trial, `link` gives it its reception trace
     (authorized for the legitimate rows, wiretap for the others) and `t_ref`
     its last reception per component, -1 before the first. The encoder reads
@@ -290,11 +294,12 @@ def run_block(scenario: Scenario, start: int, stop: int) -> BlockResult:
     Divergence is the finding, not a failure, so the row is dropped at that
     step with all it absorbed there. Both filters absorb the received rows
     one whitened scalar at a time (`FusionFilter.update`); a live row whose
-    estimate or covariance is not finite after the update fails. A failure
-    of either filter, or of the legitimate codec, raises, naming the party
-    and the (seed, trial) pair. numpy computes a one-row matmul by another
-    path, so a lone trial runs as two identical trials and keeps the first:
-    a trial's results never depend on its block.
+    estimate or covariance is not finite after the update fails, as does the
+    legitimate encoder on a growth overflow or on a packet that is not finite,
+    delivered or not; a failure raises, naming the party and the (seed, trial)
+    pair. numpy computes a one-row matmul by another path, so a lone trial
+    runs as two identical trials and keeps the first: a trial's results never
+    depend on its block.
     """
     model, sensors, h, seed = scenario.model, scenario.sensors, scenario.horizon, scenario.seed
     trials = range(start, stop) if stop - start > 1 else (start, start)
@@ -317,7 +322,6 @@ def run_block(scenario: Scenario, start: int, stop: int) -> BlockResult:
     events = detect_critical_events(*outcomes[:, :n]) + (start, 0, 0, 0)  # numbered in the run
     if not transparent:
         quantizers = [substream(seed, "quantizer", t) for t in trials]
-        uniforms = np.empty((b, WINDOW + 1, ch.size))    # a window has at most WINDOW + 1 steps
 
     track = scenario.track_eavesdropper
     link = outcomes[:2 if track else 1].reshape(-1, *outcomes.shape[2:])
@@ -325,75 +329,67 @@ def run_block(scenario: Scenario, start: int, stop: int) -> BlockResult:
     x = np.repeat(model.x0_mean[None], tr.size, axis=0)
     P = np.repeat(model.P0[None], tr.size, axis=0)
     y_ref, t_ref = np.zeros((tr.size, ch.size)), np.full(link.shape[:2], -1)
-    # one window's legitimate filtered and prediction errors, reduced to squared
-    # norms when the window ends
-    errs = np.empty((2, b, WINDOW + 1, d))
     sq = np.empty((2, b, h))
     eve_err = np.zeros((b, h if track else 0, d))  # written only before saturation
     saturated_at = np.full(b, h)
     legit_time = scenario.eve_reference_policy == "legit-time"
-    hi = 0
-    for k in range(h):
-        if k == hi:                          # the next window of plant and quantizer draws
-            lo, states, meas = next(plant)
-            hi = lo + meas.shape[1]
-            if not transparent:
-                for rng, u in zip(quantizers, uniforms):
-                    rng.random(out=u[:hi - lo])
-        y = meas[:, k - lo]
-        # "legit-time": an eavesdropper grows its own reference value over the overheard
-        # ACK timing of its trial (before this step's ACK)
-        gap = k - np.maximum(t_ref[tr] if legit_time else t_ref, 0)[:, ch]
-        factor, overflow = growth_factors(a, gap, t_ref[:, ch] >= 0)
-        if overflow[:b].any():
-            row, comp = np.argwhere(overflow[:b])[0]
-            raise CodecOverflowError(f"trial {trials[row]} (seed {seed}): reference growth "
-                                     f"overflows at step {k} on channel {ch[comp]}")
-        pre = reference_residual(y, factor[:b], y_ref[:b], s)
-        if transparent:
-            z = pre
-        else:
-            finite = np.isfinite(pre).all(axis=1)
-            if not finite.all():
-                raise ValueError(f"trial {trials[np.argmin(finite)]} (seed {seed}): "
-                                 f"quantizer input must be finite at step {k}")
-            z = round_to_lattice(pre, delta, uniforms[:, k - lo])
-
-        recv = link[:, :, k]
-        with np.errstate(over="ignore", invalid="ignore"):
-            ybar = reconstruct(z[tr], factor, y_ref, s)
-            y_ref = np.where(recv[:, ch], ybar, y_ref)
-            t_ref[recv] = k
-            # a filter that leaves the float range fails the finiteness check below
-            if k > 0:
-                x, P = fusion.predict(x, P, bu[k - 1])
-            errs[1, :, k - lo] = states[:, k - lo] - x[:b]
-            x, P = fusion.update(x, P, ybar, recv, rdec)
-            err = states[tr, k - lo] - x
-            if tr.size > b:                  # some eavesdropper row is still live
-                # it saturates when a heard channel's growth overflows or its decode is
-                # lost, or when its filter blows up before a decode does
-                lost = overflow | ~(np.abs(ybar - y[tr]) <= EVE_SATURATION)
-                gone = ((lost & recv[:, ch]).any(axis=1)
-                        | (np.linalg.norm(err, axis=1) > EVE_SATURATION))
-                gone[:b] = False
-                if gone.any():
-                    saturated_at[tr[gone]] = k
-                    tr, link, x, P, y_ref, t_ref, err = (
-                        v[~gone] for v in (tr, link, x, P, y_ref, t_ref, err))
-                eve_err[tr[b:], k] = err[b:]
-        errs[0, :, k - lo] = err[:b]
-        if k + 1 == hi:
-            w = errs[:, :, :hi - lo]
-            sq[:, :, lo:hi] = np.einsum("pbwd,pbwd->pbw", w, w)
-        # two sums clear a step; only when they are not finite are the rows tested
-        if not np.isfinite(x.sum() + P.sum()):
-            bad = ~(np.isfinite(x).all(axis=1) & np.isfinite(P).all(axis=(1, 2)))
-            if bad.any():
-                row = int(np.argmax(bad))
-                party = "eavesdropper" if row >= b else "legitimate"
-                raise ValueError(f"trial {trials[tr[row]]} (seed {seed}): {party} filter: "
-                                 f"estimate or covariance is not finite at step {k}")
+    for lo, states, meas in plant:
+        hi = lo + meas.shape[1]
+        if not transparent:
+            uniforms = np.empty((b, hi - lo, ch.size))
+            for rng, u in zip(quantizers, uniforms):
+                rng.random(out=u)
+        errs = np.empty((2, b, hi - lo, d))  # legitimate filtered and prediction errors
+        for k in range(lo, hi):
+            y = meas[:, k - lo]
+            # "legit-time": an eavesdropper grows its own reference value over the overheard
+            # ACK timing of its trial (before this step's ACK)
+            gap = k - np.maximum(t_ref[tr] if legit_time else t_ref, 0)[:, ch]
+            factor, overflow = growth_factors(a, gap, t_ref[:, ch] >= 0)
+            if overflow[:b].any():
+                row, comp = np.argwhere(overflow[:b])[0]
+                raise CodecOverflowError(f"trial {trials[row]} (seed {seed}): reference growth "
+                                         f"overflows at step {k} on channel {ch[comp]}")
+            recv = link[:, :, k]
+            with np.errstate(over="ignore", invalid="ignore"):
+                z = reference_residual(y, factor[:b], y_ref[:b], s)
+                if not transparent:
+                    z = round_to_lattice(z, delta, uniforms[:, k - lo])
+                finite = np.isfinite(z).all(axis=1)
+                if not finite.all():
+                    raise ValueError(f"trial {trials[np.argmin(finite)]} (seed {seed}): "
+                                     f"encoded packet is not finite at step {k}")
+                ybar = reconstruct(z[tr], factor, y_ref, s)
+                y_ref = np.where(recv[:, ch], ybar, y_ref)
+                t_ref[recv] = k
+                # a filter that leaves the float range fails the finiteness check below
+                if k > 0:
+                    x, P = fusion.predict(x, P, bu[k - 1])
+                errs[1, :, k - lo] = states[:, k - lo] - x[:b]
+                x, P = fusion.update(x, P, ybar, recv, rdec)
+                err = states[tr, k - lo] - x
+                if tr.size > b:              # some eavesdropper row is still live
+                    # it saturates when a heard channel's growth overflows or its decode is
+                    # lost, or when its filter blows up before a decode does
+                    lost = overflow | ~(np.abs(ybar - y[tr]) <= EVE_SATURATION)
+                    gone = ((lost & recv[:, ch]).any(axis=1)
+                            | (np.linalg.norm(err, axis=1) > EVE_SATURATION))
+                    gone[:b] = False
+                    if gone.any():
+                        saturated_at[tr[gone]] = k
+                        tr, link, x, P, y_ref, t_ref, err = (
+                            v[~gone] for v in (tr, link, x, P, y_ref, t_ref, err))
+                    eve_err[tr[b:], k] = err[b:]
+            errs[0, :, k - lo] = err[:b]
+            # two sums clear a step; only when they are not finite are the rows tested
+            if not np.isfinite(x.sum() + P.sum()):
+                bad = ~(np.isfinite(x).all(axis=1) & np.isfinite(P).all(axis=(1, 2)))
+                if bad.any():
+                    row = int(np.argmax(bad))
+                    party = "eavesdropper" if row >= b else "legitimate"
+                    raise ValueError(f"trial {trials[tr[row]]} (seed {seed}): {party} filter: "
+                                     f"estimate or covariance is not finite at step {k}")
+        sq[:, :, lo:hi] = np.einsum("pbwd,pbwd->pbw", errs, errs)
 
     return BlockResult(legit_sq=sq[0, :n], pred_sq=sq[1, :n], eve_err=eve_err[:n],
                        eve_saturated_at=saturated_at[:n], events=events)

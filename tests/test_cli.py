@@ -89,6 +89,10 @@ def test_simulate_rejects_zero_trials(tmp_path):
                    "--out", str(tmp_path))
     assert proc.returncode == 2
     assert "trials" in proc.stderr
+    # and zero workers, in one line
+    proc = run_cli("simulate", "--preset", "three-tank-groupA1", "--workers", "0",
+                   "--out", str(tmp_path))
+    assert proc.returncode == 2 and proc.stderr == "error: --workers must be >= 1\n", proc.stderr
 
 
 def test_simulate_requires_exactly_one_source(tmp_path):
@@ -450,6 +454,8 @@ def test_non_finite_model_entry_is_usage_error(tmp_path, command, key, value):
 
 # the fault of a scenario whose first prediction covariance A P0 A^T + D Q D^T overflows
 FIRST_PREDICTION = r"\bfirst prediction covariance A P0 A\^T \+ D Q D\^T is not finite$"
+# and of one whose filter's covariance prediction map overflows
+PREDICTION_MAP = r"\bcovariance prediction map kron\(A, A\) is not finite$"
 
 
 def model_with(**entries):
@@ -504,6 +510,28 @@ def missing(key):
     (r"s\^2 delta\^2 / 4 overflows with delta = 0\.01 and s = 1e\+200$",
      scalar_config(codec={"a": [2.0], "delta": [0.01], "s": 1e200})),
     (FIRST_PREDICTION, scalar_config(model=model_with(A=[[1e155]]))),
+    (r"s\^2 delta\^2 / 4 underflows to 0 with delta = 1e-200 and s = 1\.0$",
+     {"preset": "three-tank-groupA1", "delta": [1e-200, 0.01, 0.01], "trials": 2, "horizon": 20}),
+    (r"s\^2 delta\^2 / 4 underflows to 0 with delta = 0\.01 and s = 1e-200$",
+     scalar_config(codec={"a": [2.0], "delta": [0.01], "s": 1e-200})),
+    # V_1 is about 1e10, but kron(A, A) overflows
+    (PREDICTION_MAP, scalar_config(model=model_with(A=[[1e155]], P0=[[1e-300]]))),
+    (r"\bA must be square$", scalar_config(model=model_with(A=[[0.9, 0.1]]))),
+    (r"\bA must be a 2-d matrix, got shape \(1,\)$", scalar_config(model=model_with(A=[0.9]))),
+    (r"\bx0_mean must be a 1-d vector, got shape \(1, 1\)$",
+     scalar_config(model=model_with(x0_mean=[[0.0]]))),
+    (r"\bD must have d_x rows$", scalar_config(model=model_with(D=[[1.0], [1.0]]))),
+    (r"\bQ must be 2x2 to match D, got \(1, 1\)$",
+     scalar_config(model=model_with(D=[[1.0, 0.0]]))),
+    (r"\bB must have d_x rows$", scalar_config(model=model_with(B=[[1.0], [1.0]]))),
+    (r"\bu must have trailing dimension 1, got shape \(2,\)$",
+     scalar_config(model=model_with(B=[[1.0]], u=[0.1, 0.2]))),
+    (r"\bx0_mean must have length d_x$", scalar_config(model=model_with(x0_mean=[0.0, 0.0]))),
+    (r"\bP0 must be d_x x d_x$", scalar_config(model=model_with(P0=[[1.0, 0.0], [0.0, 1.0]]))),
+    (r"\bE must have d_y rows$",
+     scalar_config(model=model_with(sensors=[{"C": [[1.0]], "R": [[0.09]], "E": [[1.0], [1.0]]}]))),
+    (r"\bR must be 1x1 to match E, got \(2, 2\)$",
+     scalar_config(model=model_with(sensors=[{"C": [[1.0]], "R": [[0.09, 0.0], [0.0, 0.09]]}]))),
 ], ids=["preset-s-null", "full-s-null", "a-string", "gamma-string", "channel-int",
         "codec-list", "override-int", "sensor-int", "sensors-int", "sensors-object",
         "model-int", "matrix-string", "vector-ragged", "top-level-list",
@@ -511,18 +539,45 @@ def missing(key):
         "no-channel", "no-codec", "no-horizon", "no-gamma-eve", "no-s",
         "preset-gamma-bool", "preset-s-bool", "preset-a-null", "full-s-bool",
         "full-gamma-eve-bool", "no-sensors", "preset-decoding-noise-overflow",
-        "full-decoding-noise-overflow", "first-prediction-overflow"])
+        "full-decoding-noise-overflow", "first-prediction-overflow",
+        "preset-decoding-noise-underflow", "full-decoding-noise-underflow",
+        "prediction-map-overflow", "A-not-square", "A-one-dimensional",
+        "x0-two-dimensional", "D-rows", "Q-against-D", "B-rows", "u-trailing-dimension",
+        "x0-length", "P0-shape", "E-rows", "R-against-E"])
 def test_config_fault_names_its_key(tmp_path, want, cfg):
     # every command builds its scenario the same way, so each must stop there,
-    # except that `conditions` forms no V_1 and runs on an A that overflows it
+    # except that `conditions` forms neither V_1 nor kron(A, A), and runs on an A
+    # that overflows either
     for command in ("simulate", "bound", "conditions"):
-        if command == "conditions" and want == FIRST_PREDICTION:
+        if command == "conditions" and want in (FIRST_PREDICTION, PREDICTION_MAP):
             proc = run_cli(command, "--scenario", write_scenario(tmp_path, cfg),
                            "--out", str(tmp_path / "out"))
             assert proc.returncode == 0 and not proc.stderr, proc.stderr
             continue
         line = config_fault(tmp_path, command, cfg)
         assert re.search(want, line), (command, line)
+
+
+@pytest.mark.parametrize("delta, transparent, step", [(0.01, False, 32), (1e-10, False, 31),
+                                                      (0.01, True, 32)],
+                         ids=["residual-overflow", "rounding-overflow", "transparent"])
+def test_non_finite_packet_fails_the_run_in_one_line(tmp_path, delta, transparent, step):
+    # trial 1's reference, about 1e20 since step 3, grows by a = 1e10 a step, so
+    # at step 32 a^29 y_ref overflows the encoder's residual (y - a^gap y_ref) / s
+    # before the growth check's gap of 30, with or without the quantizer; with a
+    # step of 1e-10, the finite residual of step 31 overflows in the rounding's
+    # z / delta. Either is a run-time failure that names the (seed, trial) pair,
+    # with no warning line
+    cfg = {"model": {"A": [[1.0]], "Q": [[0.01]], "x0_mean": [1e20], "P0": [[1.0]],
+                     "sensors": [{"C": [[1.0]], "R": [[0.01]]}]},
+           "channel": {"gamma": [0.05], "gamma_eve": [0.5]},
+           "codec": {"a": [1e10], "delta": [delta], "s": 1.0}, "horizon": 200, "trials": 4,
+           "transparent_quantizer": transparent}
+    proc = run_cli("simulate", "--scenario", write_scenario(tmp_path, cfg),
+                   "--out", str(tmp_path / "out"))
+    assert proc.returncode == 1, proc.stderr
+    assert proc.stderr.splitlines() == [
+        f"error: trial 1 (seed 0): encoded packet is not finite at step {step}"], proc.stderr
 
 
 @pytest.mark.parametrize("override", [
