@@ -8,6 +8,9 @@ bounds, a lossy-channel Riccati map whose iterates bound the expected
 prediction-error covariance, capacity/entropy and PBH solvability conditions,
 and empirical secrecy verdicts.
 """
+# before numpy loads: an idle OpenBLAS worker spins for about 60 ms of CPU per command
+import os
+os.environ.setdefault("OPENBLAS_NUM_THREADS", "1")
 
 from .analysis import (BoundParams, BoundSequence, capacity_condition, distortion_rates,
                        gain_floor, hadamard_weight, inflation_diag, iterate_bound,

@@ -1,5 +1,5 @@
 """Command-line front end: scenario loading, experiment execution, analysis
-reports, CSV emission.
+reports and the files each command writes.
 
 Exit codes: 0 success, 1 runtime failure, 2 usage/configuration error.
 """
@@ -15,8 +15,8 @@ from pathlib import Path
 import numpy as np
 
 from . import analysis, codec
-from .harness import (compute_bound, fmt17, run_monte_carlo, scenario_from_dict,
-                      secrecy_report, write_events_csv, write_mse_csv)
+from .harness import (compute_bound, fmt17, run_monte_carlo, scenario_from_dict, secrecy_report,
+                      write_csv, write_events_csv, write_json, write_mse_csv)
 
 USAGE_ERROR = 2
 RUNTIME_ERROR = 1
@@ -95,9 +95,7 @@ def cmd_simulate(args) -> int:
     write_mse_csv(result, out / "mse.csv")
     write_events_csv(result, out / "events.csv")
     report = secrecy_report(result, scenario)
-    with open(out / "summary.json", "w", newline="\n") as fh:
-        json.dump(report, fh, indent=2, sort_keys=True)
-        fh.write("\n")
+    write_json(out / "summary.json", report)
     print(f"wrote {out / 'mse.csv'}, {out / 'events.csv'}, {out / 'summary.json'}")
     print(f"secrecy criterion (i):  {'PASS' if report['criterion_i'] else 'FAIL'}")
     print(f"secrecy criterion (ii): {'PASS' if report['criterion_ii'] else 'FAIL'}")
@@ -110,18 +108,14 @@ def cmd_bound(args) -> int:
     # the verdict needs room to settle past the scenario horizon
     budget = max(scenario.horizon - 1, 10_000)
     seq, _trace = compute_bound(scenario, tol=args.tol, max_steps=budget)
-    lines = ["k,trace_bound", *(f"{j + 1},{fmt17(t)}" for j, t in enumerate(seq.traces))]
-    with open(out / "bound.csv", "w", newline="\n") as fh:
-        fh.write("\n".join(lines) + "\n")
+    write_csv(out / "bound.csv", ["k", "trace_bound"], enumerate(map(fmt17, seq.traces), 1))
     summary = {
         "verdict": seq.verdict,
         "steps": len(seq.iterates),
         "final_trace": float(seq.traces[-1]),
         "degenerate_steps": seq.degenerate_steps,
     }
-    with open(out / "bound_summary.json", "w", newline="\n") as fh:
-        json.dump(summary, fh, indent=2, sort_keys=True)
-        fh.write("\n")
+    write_json(out / "bound_summary.json", summary)
     print(f"bound verdict: {seq.verdict} after {summary['steps']} iterates, "
           f"final trace {fmt17(summary['final_trace'])}")
     return 0
@@ -132,17 +126,7 @@ def cmd_conditions(args) -> int:
     out = _outdir(args)
     cap = analysis.capacity_condition(scenario.model.A, scenario.gamma_bar)
     pbh = analysis.pbh_unit_circle(scenario.model.A, scenario.model.qeff)
-    report = {
-        "capacity": cap,
-        "pbh": {
-            "unit_circle_eigenvalues": [[z.real, z.imag] for z in pbh["unit_circle_eigenvalues"]],
-            "failures": [[z.real, z.imag] for z in pbh["failures"]],
-            "passed": pbh["passed"],
-        },
-    }
-    with open(out / "conditions.json", "w", newline="\n") as fh:
-        json.dump(report, fh, indent=2, sort_keys=True)
-        fh.write("\n")
+    write_json(out / "conditions.json", {"capacity": cap, "pbh": pbh})
     print(f"total capacity {cap['total_capacity']:.4f} vs entropy {cap['entropy']:.4f} "
           f"(Mahler measure {cap['mahler_measure']:.4f}): "
           f"{'satisfied' if cap['satisfied'] else 'NOT satisfied'}")

@@ -33,8 +33,8 @@ class CodecParams:
     variance: float = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
-        if not 0.0 < self.a < math.inf:
-            raise ValueError(f"growth base a must be positive and finite, got {self.a}")
+        if not 0.0 < self.a < math.inf or math.log(self.a) > _MAX_EXP_LOG:
+            raise ValueError(f"growth base a must lie in (0, e^{_MAX_EXP_LOG:g}], got {self.a}")
         if not 0.0 < self.delta < math.inf:
             raise ValueError(f"quantization step delta must be positive and finite, got {self.delta}")
         if self.s == 0.0 or not math.isfinite(self.s):

@@ -5,11 +5,12 @@ mean error) empirically.
 """
 from __future__ import annotations
 
+import json
 import math
 import os
 from dataclasses import dataclass, field
 from functools import cached_property
-from itertools import repeat
+from itertools import islice, repeat
 
 import numpy as np
 
@@ -33,8 +34,8 @@ EVE_SATURATION = 1e15
 # 512 and 1024 trials.
 MAX_BLOCK = 512
 
-# Rows of events.csv formatted and written at a time: the writer's traced peak
-# stays near 0.3 MB at any event count (6.3 MB for 35 078 rows as one string)
+# Rows of a CSV file formatted and written at a time: the writer's traced peak
+# stays near 0.3 MB at any row count (6.3 MB for 35 078 rows as one string)
 EVENTS_CHUNK = 1024
 
 # Steps per window of plant noise, states, measurements and quantizer
@@ -569,30 +570,38 @@ def secrecy_report(result: RunResult, scenario: Scenario) -> dict:
     return detail
 
 
+def write_csv(path, header, rows) -> None:
+    """A CSV file of `%s`-formatted fields, written EVENTS_CHUNK rows at a time."""
+    line, rows = ",".join(["%s"] * len(header)) + "\n", iter(rows)
+    with open(path, "w", newline="\n") as fh:
+        fh.write(line % tuple(header))
+        while chunk := list(islice(rows, EVENTS_CHUNK)):
+            fh.write("".join(line % tuple(row) for row in chunk))
+
+
+def write_json(path, obj) -> None:
+    """A JSON file as every command writes it: sorted keys, indent 2, one final
+    newline, and each complex number (a PBH eigenvalue) as its [real, imag] pair."""
+    with open(path, "w", newline="\n") as fh:
+        json.dump(obj, fh, indent=2, sort_keys=True, default=lambda z: [z.real, z.imag])
+        fh.write("\n")
+
+
 def write_mse_csv(result: RunResult, path) -> None:
     """Per-step metrics: k, mse_legit, mse_eve, mse_eve_saturated, trace_emp_cov[, trace_bound]."""
-    header = ["k", "mse_legit", "mse_eve", "mse_eve_saturated", "trace_emp_cov"]
-    with_bound = result.bound_trace is not None
-    if with_bound:
-        header.append("trace_bound")
-    emp = result.emp_cov_trace
-    lines = [",".join(header)]
-    for k in range(result.horizon):
-        row = [str(k), fmt17(result.mse_legit[k]), fmt17(result.mse_eve[k]),
-               str(int(result.eve_saturated[k])), fmt17(emp[k])]
-        if with_bound:
-            row.append(fmt17(result.bound_trace[k]))
-        lines.append(",".join(row))
-    with open(path, "w", newline="\n") as fh:
-        fh.write("\n".join(lines) + "\n")
+    columns = {"mse_legit": result.mse_legit, "mse_eve": result.mse_eve,
+               "mse_eve_saturated": result.eve_saturated, "trace_emp_cov": result.emp_cov_trace}
+    if result.bound_trace is not None:
+        columns["trace_bound"] = result.bound_trace
+    rows = ((k, fmt17(legit), fmt17(eve), int(sat), *map(fmt17, rest))
+            for k, (legit, eve, sat, *rest) in enumerate(zip(*columns.values())))
+    write_csv(path, ["k", *columns], rows)
 
 
 def write_events_csv(result: RunResult, path) -> None:
     """Critical-event log: trial, channel, k_bar, worst_case; the rows are in trial
-    order. They are formatted and written EVENTS_CHUNK at a time, so the Python
-    strings in hand stay bounded however many events the run logged."""
-    with open(path, "w", newline="\n") as fh:
-        fh.write("trial,channel,k_bar,worst_case\n")
-        for lo in range(0, len(result.events), EVENTS_CHUNK):
-            rows = result.events[lo:lo + EVENTS_CHUNK].tolist()
-            fh.write("".join(f"{t},{i},{k},{wc}\n" for t, i, k, wc in rows))
+    order. The (E, 4) array becomes Python ints EVENTS_CHUNK rows at a time."""
+    events = result.events
+    write_csv(path, ["trial", "channel", "k_bar", "worst_case"],
+              (row for lo in range(0, len(events), EVENTS_CHUNK)
+               for row in events[lo:lo + EVENTS_CHUNK].tolist()))

@@ -4,7 +4,7 @@ from unittest import mock
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import assume, given, settings, strategies as st
 
 from ppfe import analysis
 from ppfe.analysis import (DIVERGENCE_TRACE, BoundParams, cap_gamma, capacity_condition,
@@ -293,6 +293,34 @@ def test_iterate_bound_threshold_grid():
             assert seq.diverged, f"expected divergence at gamma={gamma}"
         else:
             assert seq.converged, f"expected convergence at gamma={gamma}"
+
+
+@pytest.mark.parametrize("observer", ["identity", "row"])
+@settings(max_examples=25, deadline=None)
+@given(seed=st.integers(0, 2**32 - 1),
+       rho=st.floats(1.1, 3.0, exclude_min=True, exclude_max=True),
+       stable=st.lists(st.floats(-0.9, 0.9), max_size=2))
+def test_classical_threshold_on_random_plants(observer, seed, rho, stable):
+    # one channel, one unstable eigenvalue rho and up to two stable ones: the
+    # fixed-parameter map converges 0.03 above the critical 1 - 1/rho^2 and
+    # diverges 0.03 below it (Sinopoli et al. 2004; Mo & Sinopoli 2012), with
+    # C = I or one random row. Measured: at most 706 iterates over 3000 cases
+    rng = np.random.default_rng(seed)
+    d = 1 + len(stable)
+    basis = rng.standard_normal((d, d)) + d * np.eye(d)
+    a = basis @ np.diag([rho, *stable]) @ np.linalg.inv(basis)
+    c = np.eye(d) if observer == "identity" else rng.standard_normal((1, d))
+    # the threshold needs the unstable mode observed: as |C v| / (|C| |v|) falls from
+    # 1e-3 to 1e-5 the iterates to a verdict grow from about 710 past the budget of
+    # 4000 (the draw of seed 2431 at d = 3 has 7e-6 and never settles)
+    v = basis[:, 0]
+    assume(np.linalg.norm(c @ v) >= 1e-3 * np.linalg.norm(c) * np.linalg.norm(v))
+    sensor = SensorModel(C=c, R=0.1 * np.eye(len(c)))
+    for offset, want in ((0.03, "converged"), (-0.03, "diverged")):
+        params = BoundParams(A=a, qeff=np.eye(d), sensors=(sensor,), gamma_bar=[1 - rho ** -2 + offset],
+                             s=1.0, distortion_rates=[1e-12])
+        seq = iterate_bound(np.eye(d), params, 4000, recompute=False)
+        assert seq.verdict == want, (offset, seq.verdict, len(seq.iterates))
 
 
 def test_iterate_bound_stable_plant_converges_with_recompute():

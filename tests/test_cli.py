@@ -157,6 +157,20 @@ def test_conditions_weak_channel_fails(tmp_path, scalar_scenario_file):
     assert report["capacity"]["satisfied"] is False
 
 
+def test_conditions_writes_unit_circle_eigenvalues_as_pairs(tmp_path):
+    # a rotation without process noise fails the PBH test at both of its
+    # unit-circle eigenvalues, which conditions.json writes as [real, imag] pairs
+    rotation = [[0.0, -1.0], [1.0, 0.0]]
+    cfg = scalar_config(model={"A": rotation, "Q": [[0.0, 0.0], [0.0, 0.0]], "x0_mean": [0.0, 0.0],
+                               "P0": np.eye(2).tolist(), "sensors": [{"C": [[1.0, 0.0]], "R": [[0.09]]}]})
+    proc = run_cli("conditions", "--scenario", write_scenario(tmp_path, cfg), "--out", str(tmp_path))
+    assert proc.returncode == 0, proc.stderr
+    pairs = [[z.real, z.imag] for z in np.linalg.eigvals(rotation)]
+    text = (tmp_path / "conditions.json").read_text()
+    want = dict(json.loads(text), pbh={"unit_circle_eigenvalues": pairs, "failures": pairs, "passed": False})
+    assert text == json.dumps(want, indent=2, sort_keys=True) + "\n"
+
+
 def test_quantizer_test_passes():
     proc = run_cli("quantizer-test")
     assert proc.returncode == 0, proc.stderr
@@ -416,6 +430,25 @@ def test_config_fault_exits_2_from_a_fresh_interpreter(tmp_path):
     assert not out.exists()
 
 
+@pytest.mark.skipif(not os.path.isdir("/proc/self/task"), reason="needs /proc/self/task")
+def test_import_starts_no_blas_worker_thread():
+    # this process loaded numpy before ppfe, so only a fresh interpreter shows that
+    # `import ppfe` keeps OpenBLAS to the main thread; a value already set wins
+    code = ("import os, ppfe; "
+            "print(len(os.listdir('/proc/self/task')), os.environ['OPENBLAS_NUM_THREADS'])")
+    env = {k: v for k, v in os.environ.items() if k != "OPENBLAS_NUM_THREADS"}
+    env["PYTHONPATH"] = SRC + os.pathsep + os.environ.get("PYTHONPATH", "")
+
+    def threads_and_setting(**extra):
+        proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                              env={**env, **extra})
+        assert proc.returncode == 0, proc.stderr
+        return proc.stdout.split()
+
+    assert threads_and_setting() == ["1", "1"]
+    assert threads_and_setting(OPENBLAS_NUM_THREADS="2")[1] == "2"
+
+
 @pytest.mark.parametrize("preset", [5, None])
 def test_non_string_preset_is_usage_error(tmp_path, preset):
     line = config_fault(tmp_path, "simulate", {"preset": preset})
@@ -532,6 +565,11 @@ def missing(key):
      scalar_config(model=model_with(sensors=[{"C": [[1.0]], "R": [[0.09]], "E": [[1.0], [1.0]]}]))),
     (r"\bR must be 1x1 to match E, got \(2, 2\)$",
      scalar_config(model=model_with(sensors=[{"C": [[1.0]], "R": [[0.09, 0.0], [0.0, 0.09]]}]))),
+    # a^gap overflows at every gap: a trial would fail at its first grown reference
+    (r"\bgrowth base a must lie in \(0, e\^690\], got 1e\+300$",
+     {"preset": "three-tank-groupA1", "a": [1e300, 1e300, 1e300], "trials": 2, "horizon": 50}),
+    (r"\bgrowth base a must lie in \(0, e\^690\], got 1e\+300$",
+     scalar_config(codec={"a": [1e300], "delta": [0.01], "s": 1.0})),
 ], ids=["preset-s-null", "full-s-null", "a-string", "gamma-string", "channel-int",
         "codec-list", "override-int", "sensor-int", "sensors-int", "sensors-object",
         "model-int", "matrix-string", "vector-ragged", "top-level-list",
@@ -543,7 +581,8 @@ def missing(key):
         "preset-decoding-noise-underflow", "full-decoding-noise-underflow",
         "prediction-map-overflow", "A-not-square", "A-one-dimensional",
         "x0-two-dimensional", "D-rows", "Q-against-D", "B-rows", "u-trailing-dimension",
-        "x0-length", "P0-shape", "E-rows", "R-against-E"])
+        "x0-length", "P0-shape", "E-rows", "R-against-E", "preset-growth-overflow",
+        "full-growth-overflow"])
 def test_config_fault_names_its_key(tmp_path, want, cfg):
     # every command builds its scenario the same way, so each must stop there,
     # except that `conditions` forms neither V_1 nor kron(A, A), and runs on an A

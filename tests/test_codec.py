@@ -6,7 +6,7 @@ from hypothesis import example, given, settings, strategies as st
 
 from ppfe.codec import (CodecOverflowError, CodecParams, CodecState, ack,
                         bootstrap_state, decode, eavesdrop_decode, encode,
-                        quantize, EncodedPacket)
+                        growth_factors, quantize, EncodedPacket)
 
 
 def rng(seed=0):
@@ -256,3 +256,9 @@ def test_codec_params_validation():
         with pytest.raises(ValueError, match=r"decoding-noise variance .* overflows with delta"):
             CodecParams(**bad)
     assert CodecParams(a=2.0, delta=1e54, s=1e100).delta == 1e54
+    # past ln a = 690, a^gap overflows at every gap >= 1, so no reference could grow
+    for bad in (1e300, math.exp(690.5)):
+        with pytest.raises(ValueError, match=r"^growth base a must lie in \(0, e\^690\], got "):
+            CodecParams(a=bad, delta=0.01, s=1.0)
+    edge = CodecParams(a=math.exp(689.9), delta=0.01, s=1.0)
+    assert not growth_factors([edge.a], [1], [True])[1].any()

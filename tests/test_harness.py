@@ -18,7 +18,7 @@ from ppfe.codec import (CodecOverflowError, CodecParams, ack, bootstrap_state, d
 from ppfe.estimator import run_filter
 from ppfe.harness import (EVE_SATURATION, Scenario, build_worst_case, compute_bound,
                           detect_critical_events, run_block, run_monte_carlo,
-                          scenario_from_dict, scenario_preset, secrecy_report,
+                          fmt17, scenario_from_dict, scenario_preset, secrecy_report,
                           write_events_csv, write_mse_csv)
 from ppfe.model import SensorModel, SystemModel, simulate_plant
 from ppfe.rng import substream
@@ -755,17 +755,17 @@ def test_block_traced_peak_per_trial_step():
         assert per_trial_step < limit, (track, per_trial_step)
 
 
-def old_events_csv(events) -> bytes:
-    """events.csv as one joined list of every row, the layout the chunked writer keeps."""
-    lines = ["trial,channel,k_bar,worst_case",
-             *(f"{t},{i},{k},{wc}" for t, i, k, wc in events.tolist())]
-    return ("\n".join(lines) + "\n").encode()
+def old_joined_csv(header, rows) -> bytes:
+    """A CSV file as one joined list of every row, the layout the chunked writer keeps."""
+    return ("\n".join([header, *rows]) + "\n").encode()
 
 
 def test_events_csv_is_written_in_chunks(tmp_path):
-    # 0 rows, exactly one chunk, and several chunks plus a remainder give the
-    # bytes of one joined string; the writer's traced peak stays bounded. Measured
-    # for 35 078 rows: 0.24 MB, against 6.3 MB when every row was joined first
+    # events.csv, mse.csv and bound.csv as their commands write them: 0 rows,
+    # exactly one chunk, and several chunks plus a remainder give the bytes of one
+    # joined string; the writer's traced peak stays bounded. Measured for 35 078
+    # rows of events.csv: 0.24 MB, against 6.3 MB when every row was joined first.
+    # Only events.csv takes that size: mse.csv and bound.csv add 1.6 s there
     import tracemalloc
 
     chunk = harness.EVENTS_CHUNK
@@ -773,15 +773,33 @@ def test_events_csv_is_written_in_chunks(tmp_path):
     for rows in (0, chunk, 3 * chunk + 17, 35_078):
         events = np.column_stack((np.sort(rng.integers(0, 256, rows)), rng.integers(0, 3, rows),
                                   rng.integers(0, 500, rows), rng.integers(0, 2, rows)))
-        path = tmp_path / f"events{rows}.csv"
-        tracemalloc.start()
-        try:
-            write_events_csv(SimpleNamespace(events=events), path)
-            peak = tracemalloc.get_traced_memory()[1]
-        finally:
-            tracemalloc.stop()
-        assert path.read_bytes() == old_events_csv(events), rows
-        assert peak < 1e6, (rows, peak)
+        cases = {"events": (lambda path: write_events_csv(SimpleNamespace(events=events), path),
+                            old_joined_csv("trial,channel,k_bar,worst_case",
+                                           (f"{t},{i},{k},{wc}" for t, i, k, wc in events.tolist())))}
+        if rows < 35_078:
+            legit, eve, emp, bound = rng.lognormal(-10.0, 5.0, (4, rows))
+            eve[::7], eve[3::11] = math.nan, math.inf
+            saturated = rng.random(rows) < 0.5
+            mse = SimpleNamespace(mse_legit=legit, mse_eve=eve, eve_saturated=saturated,
+                                  emp_cov_trace=emp, bound_trace=bound)
+            cases["mse"] = (lambda path: write_mse_csv(mse, path), old_joined_csv(
+                "k,mse_legit,mse_eve,mse_eve_saturated,trace_emp_cov,trace_bound",
+                (f"{k},{fmt17(legit[k])},{fmt17(eve[k])},{int(saturated[k])},{fmt17(emp[k])},"
+                 f"{fmt17(bound[k])}" for k in range(rows))))
+            cases["bound"] = (lambda path: harness.write_csv(path, ["k", "trace_bound"],
+                                                             enumerate(map(fmt17, bound), 1)),
+                              old_joined_csv("k,trace_bound",
+                                             (f"{j + 1},{fmt17(t)}" for j, t in enumerate(bound))))
+        for name, (write, want) in cases.items():
+            path = tmp_path / f"{name}{rows}.csv"
+            tracemalloc.start()
+            try:
+                write(path)
+                peak = tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+            assert path.read_bytes() == want, (name, rows)
+            assert peak < 1e6, (name, rows, peak)
 
 
 @pytest.mark.parametrize("cpus, workers, want", [(2, 3000, [2]), (None, 3000, []),
