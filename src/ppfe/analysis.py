@@ -287,7 +287,7 @@ def iterate_bound(
             else:
                 nxt = riccati_map(current, params, w)
                 tr = float(nxt.trace())
-            degenerate += w == 0.0
+            degenerate += int(w == 0.0)    # w may be a numpy float
             iterates.append(nxt)
             traces.append(tr)
             rel = _fro(nxt - current) / max(1.0, _fro(current))

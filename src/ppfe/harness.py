@@ -11,6 +11,7 @@ import os
 from dataclasses import dataclass, field
 from functools import cached_property
 from itertools import islice, repeat
+from typing import Iterator, NamedTuple
 
 import numpy as np
 
@@ -25,13 +26,15 @@ from .rng import substream
 
 EVE_SATURATION = 1e15
 
-# Most trials in one block. A three-tank block's traced peak is about 103
-# bytes per trial-step (256 trials x 500 steps), 40 of them what it returns:
-# two (B, H) squared norms and the eavesdropper's (B, H, d_x) errors, whose
-# pages past saturation are never touched (71 bytes untracked, without them).
-# So a 500-step block of 512 trials peaks near 26 MB traced. A 1000-trial A1
-# run at 1 worker peaked at 56, 68 and 88 MB RSS with blocks of at most 256,
-# 512 and 1024 trials.
+# Most trials in one block. A pool worker's three-tank block (`run_block`)
+# peaks near 107 traced bytes per trial-step (256 trials x 500 steps), 40 of
+# them what it returns: two (B, H) squared norms and the eavesdropper's
+# (B, H, d_x) errors, whose pages past saturation are never touched (73 bytes
+# untracked, without them). So a 500-step block of 512 trials peaks near 27 MB
+# traced. At 1 worker the windows are folded as they come: a run of 256 trials
+# x 500 steps peaks near 75 bytes per trial-step (110 when each block held its
+# whole-horizon arrays). A 1000-trial A1 run at 1 worker peaked at 54-58, 60-61
+# and 75 MB RSS with blocks of at most 256, 512 and 1024 trials.
 MAX_BLOCK = 512
 
 # Rows of a CSV file formatted and written at a time: the writer's traced peak
@@ -256,12 +259,37 @@ def build_worst_case(n_channels: int, horizon: int, channel: int, k_bar: int) ->
     return bits
 
 
+class Window(NamedTuple):
+    """Results of trials start..start+n-1 over the window of steps lo..lo+w-1.
+    `block_windows` yields views of buffers that its next window overwrites;
+    `run_monte_carlo` also takes a pool's whole block as one window from step 0."""
+
+    start: int                  # the block's first trial, numbered in the run
+    lo: int                     # the window's first step
+    legit_sq: np.ndarray        # (n, w) squared filtered-error norms ||x_k - xhat_{k|k}||^2
+    pred_sq: np.ndarray         # (n, w) squared prediction-error norms ||x_k - xhat_{k|k-1}||^2
+    eve_err: np.ndarray         # (n, w, d_x) eavesdropper errors, 0 from saturation on
+    saturated_at: np.ndarray    # (n,) first saturated step so far, H when none yet
+    events: np.ndarray | None   # the block's (E, 4) critical events, with its first window only
+
+    def live_errors(self) -> Iterator[tuple[int, np.ndarray]]:
+        """(row, errors) of each trial whose eavesdropper is live at step lo, in
+        trial order: its errors from lo up to its saturation or the window's end.
+        No entry past saturation is read, so a gathered block's untouched pages
+        stay untouched; an untracked eavesdropper has no entries."""
+        stops = np.minimum(self.saturated_at - self.lo, self.eve_err.shape[1])
+        rows = np.flatnonzero(stops > 0)
+        for row, stop in zip(rows.tolist(), stops[rows].tolist()):
+            yield row, self.eve_err[row, :stop]
+
+
 @dataclass
 class BlockResult:
-    """Per-trial results of a contiguous block of trials: the legitimate party's
-    squared error norms, and the eavesdropper's error vectors up to its
-    saturation step (0 from that step on, pages the block never touched);
-    (B, 0, d_x) for an untracked eavesdropper, which never saturates."""
+    """Per-trial results of a contiguous block of trials over the whole
+    horizon: the legitimate party's squared error norms, and the eavesdropper's
+    error vectors up to its saturation step (0 from that step on, pages the
+    block never touched); (B, 0, d_x) for an untracked eavesdropper, which
+    never saturates."""
 
     legit_sq: np.ndarray           # (B, H) squared filtered-error norms ||x_k - xhat_{k|k}||^2
     pred_sq: np.ndarray            # (B, H) squared prediction-error norms ||x_k - xhat_{k|k-1}||^2
@@ -270,18 +298,18 @@ class BlockResult:
     events: np.ndarray             # (E, 4) rows (trial, channel, k_bar, worst_case), in order
 
 
-def run_block(scenario: Scenario, start: int, stop: int) -> BlockResult:
+def block_windows(scenario: Scenario, start: int, stop: int) -> Iterator[Window]:
     """Trials start..stop-1 advanced together: plant -> encode -> both channels ->
-    decode -> both filters, each step one set of array operations over the block.
+    decode -> both filters, each step one set of array operations over the block,
+    with one `Window` of results yielded per window of plant steps.
 
     Each trial draws its own (seed, role, trial) streams, in the order a
     step-by-step draw would use. The loop walks the windows of plant states
     and measurements that `simulate_plants` yields; each draws its quantizer
     uniforms, runs its steps and reduces its legitimate filtered and
     prediction errors to squared norms by one einsum, so no whole-horizon
-    states, measurements or uniforms are held. Only the eavesdropper's error
-    vectors are kept for the whole horizon, in a zeroed array written only
-    before saturation ((B, 0, d_x) untracked). Both parties run the same
+    states, measurements, uniforms or errors are held: only the reception
+    traces and the critical events they give. Both parties run the same
     decoder and filter, so the row arrays hold one row per (party, trial):
     the block's B legitimate rows, then one eavesdropper row per trial whose
     eavesdropper is still live.
@@ -330,18 +358,21 @@ def run_block(scenario: Scenario, start: int, stop: int) -> BlockResult:
     x = np.repeat(model.x0_mean[None], tr.size, axis=0)
     P = np.repeat(model.P0[None], tr.size, axis=0)
     y_ref, t_ref = np.zeros((tr.size, ch.size)), np.full(link.shape[:2], -1)
-    sq = np.empty((2, b, h))
-    eve_err = np.zeros((b, h if track else 0, d))  # written only before saturation
+    # window buffers: `simulate_plants` joins a one-step rest to the window before it
+    span = min(h, WINDOW + 1)
+    errs = np.empty((2, b, span, d))          # legitimate filtered and prediction errors
+    sq = np.empty((2, b, span))
+    eve_err = np.empty((b, span if track else 0, d))
     saturated_at = np.full(b, h)
     legit_time = scenario.eve_reference_policy == "legit-time"
     for lo, states, meas in plant:
-        hi = lo + meas.shape[1]
+        w = meas.shape[1]
         if not transparent:
-            uniforms = np.empty((b, hi - lo, ch.size))
+            uniforms = np.empty((b, w, ch.size))
             for rng, u in zip(quantizers, uniforms):
                 rng.random(out=u)
-        errs = np.empty((2, b, hi - lo, d))  # legitimate filtered and prediction errors
-        for k in range(lo, hi):
+        eve_err.fill(0.0)                    # written only before saturation
+        for k in range(lo, lo + w):
             y = meas[:, k - lo]
             # "legit-time": an eavesdropper grows its own reference value over the overheard
             # ACK timing of its trial (before this step's ACK)
@@ -380,7 +411,7 @@ def run_block(scenario: Scenario, start: int, stop: int) -> BlockResult:
                         saturated_at[tr[gone]] = k
                         tr, link, x, P, y_ref, t_ref, err = (
                             v[~gone] for v in (tr, link, x, P, y_ref, t_ref, err))
-                    eve_err[tr[b:], k] = err[b:]
+                    eve_err[tr[b:], k - lo] = err[b:]
             errs[0, :, k - lo] = err[:b]
             # two sums clear a step; only when they are not finite are the rows tested
             if not np.isfinite(x.sum() + P.sum()):
@@ -390,10 +421,28 @@ def run_block(scenario: Scenario, start: int, stop: int) -> BlockResult:
                     party = "eavesdropper" if row >= b else "legitimate"
                     raise ValueError(f"trial {trials[tr[row]]} (seed {seed}): {party} filter: "
                                      f"estimate or covariance is not finite at step {k}")
-        sq[:, :, lo:hi] = np.einsum("pbwd,pbwd->pbw", errs, errs)
+        np.einsum("pbwd,pbwd->pbw", errs[:, :, :w], errs[:, :, :w], out=sq[:, :, :w])
+        yield Window(start, lo, sq[0, :n, :w], sq[1, :n, :w], eve_err[:n, :w], saturated_at[:n],
+                     events if lo == 0 else None)
 
-    return BlockResult(legit_sq=sq[0, :n], pred_sq=sq[1, :n], eve_err=eve_err[:n],
-                       eve_saturated_at=saturated_at[:n], events=events)
+
+def run_block(scenario: Scenario, start: int, stop: int) -> BlockResult:
+    """Trials start..stop-1 (see `block_windows`), their windows gathered into
+    whole-horizon arrays: the form a pool's worker returns, and the one tests
+    compare. The eavesdropper's errors go in a zeroed array written only
+    before saturation."""
+    h, n, d = scenario.horizon, stop - start, scenario.model.d_x
+    sq = np.empty((2, n, h))
+    eve_err = np.zeros((n, h if scenario.track_eavesdropper else 0, d))
+    for win in block_windows(scenario, start, stop):
+        hi = win.lo + win.legit_sq.shape[1]
+        sq[0, :, win.lo:hi], sq[1, :, win.lo:hi] = win.legit_sq, win.pred_sq
+        for row, e in win.live_errors():
+            eve_err[row, win.lo:win.lo + len(e)] = e
+        if win.events is not None:
+            events = win.events
+    return BlockResult(legit_sq=sq[0], pred_sq=sq[1], eve_err=eve_err,
+                       eve_saturated_at=win.saturated_at, events=events)
 
 
 @dataclass
@@ -435,13 +484,14 @@ def compute_bound(scenario: Scenario, tol: float = 1e-10,
     return seq, out
 
 
-def _blocks(scenario: Scenario, workers: int):
-    """Block results in trial order, each held only by the caller (a zip
-    would keep the last one while the next runs). The trials split into
-    consecutive blocks whose sizes differ by at most one: one block per
-    worker, or the fewest multiple of `workers` blocks that keeps each within
-    MAX_BLOCK trials. The blocks run in a pool of at most one process per
-    CPU, or in this process when that is one; the split does not depend on it."""
+def _windows(scenario: Scenario, workers: int) -> Iterator[Window]:
+    """Every block's windows in trial order. The trials split into consecutive
+    blocks whose sizes differ by at most one: one block per worker, or the
+    fewest multiple of `workers` blocks that keeps each within MAX_BLOCK
+    trials. The blocks run in a pool of at most one process per CPU, each
+    returned whole (`run_block`), taken as one window and held only by the
+    caller; or in this process, window by window, when that is one. The split
+    does not depend on it."""
     t = scenario.trials
     n = min(t, workers * -(-t // (workers * MAX_BLOCK)))
     bounds = [t * j // n for j in range(n + 1)]
@@ -452,38 +502,44 @@ def _blocks(scenario: Scenario, workers: int):
         from concurrent.futures import ProcessPoolExecutor
 
         with ProcessPoolExecutor(max_workers=procs) as pool:
-            yield from pool.map(run_block, repeat(scenario), starts, stops)
+            blocks = pool.map(run_block, repeat(scenario), starts, stops)
+            for lo in starts:
+                block = next(blocks)
+                yield Window(lo, 0, block.legit_sq, block.pred_sq, block.eve_err,
+                             block.eve_saturated_at, block.events)
+                del block                    # freed before the next block arrives
     else:
-        yield from map(run_block, repeat(scenario), starts, stops)
+        for lo, hi in zip(starts, stops):
+            yield from block_windows(scenario, lo, hi)
 
 
 def run_monte_carlo(scenario: Scenario, workers: int = 1,
                     compute_bound_trace: bool = False) -> RunResult:
-    """Block-parallel execution (see `_blocks`). A trial's results do not
-    depend on its block (see `run_block`), and each block is folded into
-    running per-step sums as it arrives, trial by trial in trial order, so
-    the outputs are bitwise independent of the worker count and only one
-    block's error series are held at a time."""
+    """Block-parallel execution (see `_windows`). A trial's results do not
+    depend on its block or its windows (see `block_windows`), and each window
+    is folded into running per-step sums as it arrives, trial by trial in
+    trial order, so the outputs are bitwise independent of the worker count.
+    At one worker only a window's error series are held at a time."""
     h, t, d = scenario.horizon, scenario.trials, scenario.model.d_x
     sq = np.empty((t, h))                    # squared prediction-error norms, for the SE
     legit_sq, eve_sq, eve_sum = np.zeros(h), np.zeros(h), np.zeros((h, d))
     saturated_at = np.empty(t, dtype=int)
-    events, lo = [], 0
-    for block in _blocks(scenario, workers):
-        hi = lo + len(block.eve_saturated_at)
-        sq[lo:hi] = block.pred_sq
-        saturated_at[lo:hi] = block.eve_saturated_at
-        events.append(block.events)
-        # trial by trial, so that no sum depends on the split into blocks; an
-        # eavesdropper entry is read only before its trial saturates, so the
-        # pages of its tail are never touched (an untracked one has no entries)
-        for row, e_eve, stop in zip(block.legit_sq, block.eve_err, saturated_at[lo:hi]):
-            legit_sq += row
-            e_eve = e_eve[:stop]
-            eve_sq[:len(e_eve)] += np.einsum("hd,hd->h", e_eve, e_eve)
-            eve_sum[:len(e_eve)] += e_eve
-        lo = hi
-        del block, row, e_eve                # freed before the next block runs
+    events = []
+    for win in _windows(scenario, workers):
+        trials = slice(win.start, win.start + len(win.saturated_at))
+        steps = slice(win.lo, win.lo + win.legit_sq.shape[1])
+        sq[trials, steps] = win.pred_sq
+        saturated_at[trials] = win.saturated_at
+        if win.events is not None:
+            events.append(win.events)
+        # trial by trial, so that no sum depends on the split into blocks or windows
+        legit = legit_sq[steps]
+        for row in win.legit_sq:
+            legit += row
+        for _, e in win.live_errors():
+            eve_sq[win.lo:win.lo + len(e)] += np.einsum("hd,hd->h", e, e)
+            eve_sum[win.lo:win.lo + len(e)] += e
+        win = row = e = None                 # a pool's block is freed before the next arrives
 
     trace_se = sq.std(axis=0, ddof=1) / math.sqrt(t) if t > 1 else np.zeros(h)
     gone = np.cumsum(np.bincount(saturated_at, minlength=h + 1)[:h])  # saturated by step k
@@ -579,12 +635,21 @@ def write_csv(path, header, rows) -> None:
             fh.write("".join(line % tuple(row) for row in chunk))
 
 
+def _complex_pair(z) -> list[float]:
+    """`json`'s hook for what it cannot encode: a complex number becomes its
+    [real, imag] pair, and anything else a TypeError."""
+    if isinstance(z, (complex, np.complexfloating)):
+        return [float(z.real), float(z.imag)]
+    raise TypeError(f"{type(z).__name__} {z!r} is not JSON serializable")
+
+
 def write_json(path, obj) -> None:
     """A JSON file as every command writes it: sorted keys, indent 2, one final
-    newline, and each complex number (a PBH eigenvalue) as its [real, imag] pair."""
+    newline, and each complex number (a PBH eigenvalue) as its [real, imag] pair.
+    The text is encoded before the file is opened, so a failure leaves no file."""
+    text = json.dumps(obj, indent=2, sort_keys=True, default=_complex_pair) + "\n"
     with open(path, "w", newline="\n") as fh:
-        json.dump(obj, fh, indent=2, sort_keys=True, default=lambda z: [z.real, z.imag])
-        fh.write("\n")
+        fh.write(text)
 
 
 def write_mse_csv(result: RunResult, path) -> None:

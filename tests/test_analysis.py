@@ -295,6 +295,18 @@ def test_iterate_bound_threshold_grid():
             assert seq.converged, f"expected convergence at gamma={gamma}"
 
 
+def test_iterate_bound_counts_degenerate_steps_as_an_int_in_both_modes():
+    # fixed mode freezes w at its V_1 value, a numpy float, whose w == 0 test is a
+    # numpy bool; the count is a Python int all the same, as summary.json needs.
+    # a rate of 0.9 makes S - V S V indefinite, so every fixed-mode step is degenerate
+    for rates, degenerate in (([1e-12], 0), ([0.9], 49)):
+        seq = iterate_bound(np.array([[1.0]]), scalar_params(0.9, distortion_rates=rates, a=0.5),
+                            50, recompute=False, tol=0.0)
+        assert type(seq.degenerate_steps) is int and seq.degenerate_steps == degenerate
+    seq = iterate_bound(np.array([[1.0]]), scalar_params(0.9, delta=[0.01]), 50, recompute=True)
+    assert type(seq.degenerate_steps) is int
+
+
 @pytest.mark.parametrize("observer", ["identity", "row"])
 @settings(max_examples=25, deadline=None)
 @given(seed=st.integers(0, 2**32 - 1),

@@ -466,6 +466,22 @@ def test_compute_bound_three_tank_verdicts_pinned(preset, steps, degenerate, fin
     assert seq.traces[-1] == pytest.approx(final_trace, rel=1e-9, abs=0.0)
 
 
+def test_unstable_reference_scenario_verdicts_pinned():
+    # an unstable plant (rho(A) = 1.02) with growing codecs (a = 2), where the
+    # paper's bound is not the open-loop predictor and every eavesdropper diverges;
+    # pinned at 20 trials under RuntimeWarning-as-error
+    cfg = json.loads((Path(__file__).resolve().parent / "scenarios" / "unstable.json").read_text())
+    sc = scenario_from_dict({**cfg, "trials": 20})
+    res = run_monte_carlo(sc, compute_bound_trace=True)
+    report = secrecy_report(res, sc)
+    assert report["criterion_i"] is True
+    assert (res.bound.verdict, len(res.bound.iterates), res.bound.degenerate_steps) == \
+        ("converged", 25, 0)
+    assert res.bound.traces[-1] == pytest.approx(0.039811391263011135, rel=1e-9, abs=0.0)
+    assert (report["criterion_ii"], report["criterion_ii_mode"]) == (True, "diverged-flag")
+    assert res.diverged_trials == 20
+
+
 # ---------------------------------------------------------------- presets and config
 
 def test_scenario_presets_cover_groups():
@@ -732,6 +748,32 @@ def test_monte_carlo_memory_does_not_grow_with_blocks():
     assert per_trial_step < 32, (peaks, per_trial_step)
 
 
+def test_one_worker_traced_peak_per_added_trial_step():
+    # at one worker each window of results is folded into the per-step sums as it
+    # is made, so a longer horizon adds only what the run keeps for all of it: the
+    # reception traces, the critical events and the (T, H) squared prediction-error
+    # norms the standard error needs. Measured per trial-step added (64 trials,
+    # horizon 500 -> 1000): 34.6 bytes on A1 and 24.2 without growth; 74.6 and
+    # 64.2 when each block's whole-horizon arrays were held until the block ended
+    import tracemalloc
+
+    run_monte_carlo(scenario_preset("three-tank-groupA1", seed=3, horizon=10, trials=4))
+    nogrowth = json.loads((Path(__file__).resolve().parents[1] / "perfbench/scenarios/nogrowth.json")
+                          .read_text())
+    for cfg, limit in (({"preset": "three-tank-groupA1"}, 45), (nogrowth, 35)):
+        peaks = []
+        for horizon in (500, 1000):
+            sc = scenario_from_dict({**cfg, "seed": 3, "trials": 64, "horizon": horizon})
+            tracemalloc.start()
+            try:
+                run_monte_carlo(sc, workers=1)
+                peaks.append(tracemalloc.get_traced_memory()[1])
+            finally:
+                tracemalloc.stop()
+        per_trial_step = (peaks[1] - peaks[0]) / (64 * 500)
+        assert per_trial_step < limit, (cfg, peaks, per_trial_step)
+
+
 def test_block_traced_peak_per_trial_step():
     # a block returns two (B, H) squared norms and the eavesdropper's (B, H, d_x)
     # errors, and reduces the legitimate errors window by window. Measured on a
@@ -800,6 +842,20 @@ def test_events_csv_is_written_in_chunks(tmp_path):
                 tracemalloc.stop()
             assert path.read_bytes() == want, (name, rows)
             assert peak < 1e6, (name, rows, peak)
+
+
+def test_write_json_encodes_complex_values_only_and_leaves_no_partial_file(tmp_path):
+    path = tmp_path / "out.json"
+    harness.write_json(path, {"z": [1 + 2j, np.complex64(0.25 - 0.5j)], "x": np.float64(0.1)})
+    assert path.read_text() == json.dumps({"x": 0.1, "z": [[1.0, 2.0], [0.25, -0.5]]},
+                                          indent=2, sort_keys=True) + "\n"
+    # numpy integers, bools and float32 are not floats, and nothing but a complex
+    # number is turned into a pair; a value json cannot encode leaves no file
+    for value in (np.int64(49), np.bool_(True), np.float32(1.5), object()):
+        bad = tmp_path / "bad.json"
+        with pytest.raises(TypeError, match="is not JSON serializable"):
+            harness.write_json(bad, {"v": value})
+        assert not bad.exists(), value
 
 
 @pytest.mark.parametrize("cpus, workers, want", [(2, 3000, [2]), (None, 3000, []),
